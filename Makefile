@@ -1,7 +1,8 @@
 PYTHON ?= python
 RUN := PYTHONPATH=src $(PYTHON)
 
-.PHONY: test bench bench-smoke bench-json stream-demo parallel-demo \
+.PHONY: test bench bench-smoke bench-json bench-e2e bench-e2e-smoke \
+        bench-compare stream-demo parallel-demo \
         service-demo serving-demo distributed-demo corpus-demo \
         docs-check lint docstyle
 
@@ -36,6 +37,25 @@ bench-json:
 	$(RUN) benchmarks/bench_serving_load.py --json BENCH_serving.json
 	$(RUN) benchmarks/bench_distributed.py --json BENCH_distributed.json
 	$(RUN) benchmarks/bench_corpus_ingest.py --json BENCH_corpus.json
+
+# The end-to-end benchmark BENCHMARK.json declares (see
+# benchmarks/e2e/README.md); run.py puts src/ on its own path.
+# `bench-e2e` measures all four workloads for run_seconds each and
+# writes $(OUT) (default: under the git-ignored .bench_e2e/, which
+# run.py creates); `bench-e2e-smoke` is the < 30 s traced pass CI runs
+# (it exits non-zero when an output check fails); `bench-compare
+# BASE=a.json NEW=b.json` gates one result on another.
+OUT ?= .bench_e2e/result.json
+bench-e2e:
+	$(PYTHON) benchmarks/e2e/run.py --json $(OUT)
+
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke --trace 1
+
+bench-compare:
+	@test -n "$(BASE)" -a -n "$(NEW)" || \
+	    { echo "usage: make bench-compare BASE=a.json NEW=b.json"; exit 2; }
+	$(PYTHON) benchmarks/e2e/compare.py $(BASE) $(NEW)
 
 # Generate a synthetic week of posts and replay it through the
 # streaming subcommand (documents -> incremental top-k, end to end).

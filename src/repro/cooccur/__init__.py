@@ -13,6 +13,15 @@ The paper's methodology, reproduced exactly:
    triplets, supporting the chi-square and correlation-coefficient
    pruning that yields the graph ``G'`` whose biconnected components
    are the keyword clusters.
+
+Steps 1-3 are the bounded-memory path (``external=True``).  When the
+interval's counts fit in memory — the default — they collapse into
+:func:`~repro.cooccur.aggregate.count_keywords_and_pairs`: the same
+pair multiset counted straight into the graph's two tables by the C
+loop behind ``Counter.update``.  Pruning is one pass whose closed-form
+χ² only *prefilters*; :mod:`repro.stats` remains the reference that
+decides any edge near the critical value (see
+:meth:`KeywordGraph.prune`).
 """
 
 from repro.cooccur.aggregate import (

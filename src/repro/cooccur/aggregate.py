@@ -8,7 +8,9 @@ smaller run records.
 
 from __future__ import annotations
 
-from itertools import groupby
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, groupby
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.cooccur.pairs import Pair, Token, emit_pairs
@@ -16,6 +18,13 @@ from repro.extsort import external_sort
 from repro.storage.iostats import IOStats
 
 Triplet = Tuple[Token, Token, int]
+
+# glibc ``mallopt`` parameters (malloc.h) and the values they are
+# pinned to: the ceilings glibc's own dynamic adjustment stops at.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD
 
 
 def aggregate_sorted_pairs(pairs: Iterable[Pair]) -> Iterator[Triplet]:
@@ -44,15 +53,67 @@ def count_pairs_external(keyword_sets: Iterable[FrozenSet[Token]],
     return aggregate_sorted_pairs(sorted_pairs)
 
 
+@lru_cache(maxsize=None)
+def _retain_freed_heap() -> None:
+    """Stop glibc handing the pair table's memory back between calls.
+
+    The pair table is built by doubling, so one call grows the heap
+    by about twice the final table: the table plus the chain of
+    outgrown ones below it.  glibc's dynamic trim threshold is twice
+    the largest block it has seen freed, i.e. twice that same table,
+    so whether the heap is cut back when the graph dies, and paged in
+    again (a fault per 4 KiB, ~5 MB per interval of a stream) by the
+    next call, hangs on a few KiB of unrelated heap each time.  That
+    was 4-6 % of a streaming run spent in the kernel, a different
+    share in every run.  Pinning both thresholds, once per process,
+    at the ceilings the dynamic adjustment stops at makes every call
+    after the first reuse the heap the last one freed.  A C library
+    without ``mallopt`` is left as it is.
+    """
+    try:
+        import ctypes
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+def count_keywords_and_pairs(keyword_sets: Iterable[FrozenSet[Token]]
+                             ) -> Tuple[Counter, Counter]:
+    """The in-memory counting kernel: ``(A(u), A(u, v))`` counters.
+
+    Same multiset as :func:`~repro.cooccur.pairs.emit_pairs` — every
+    keyword once and every canonical (sorted) cross pair once per
+    document — but fed straight to ``Counter.update``, so the
+    per-pair work is the C counting loop, not Python bookkeeping.
+    Keys appear in first-occurrence order, which fixes the pruned
+    graph's adjacency order and hence the order clusters come out in.
+    The pair table is the one large transient allocation of a run, so
+    the first call also keeps the C heap from being cut back between
+    calls (:func:`_retain_freed_heap`).
+    """
+    _retain_freed_heap()
+    keywords: Counter = Counter()
+    pairs: Counter = Counter()
+    for document in keyword_sets:
+        ordered = sorted(document)
+        keywords.update(ordered)
+        pairs.update(combinations(ordered, 2))
+    return keywords, pairs
+
+
 def count_pairs_in_memory(keyword_sets: Iterable[FrozenSet[Token]]
                           ) -> Dict[Pair, int]:
     """Hash-aggregate the pair stream entirely in memory.
 
-    Functionally identical to :func:`count_pairs_external`; used when
-    the interval's pair multiset fits in RAM, and as the differential
-    oracle in tests.
+    Functionally identical to :func:`count_pairs_external` (self
+    pairs ``(u, u)`` carry the unary counts); used as the
+    differential oracle in tests.
     """
-    counts: Dict[Pair, int] = {}
-    for pair in emit_pairs(keyword_sets):
-        counts[pair] = counts.get(pair, 0) + 1
+    keywords, pairs = count_keywords_and_pairs(keyword_sets)
+    counts: Dict[Pair, int] = {(u, u): c for u, c in keywords.items()}
+    counts.update(pairs)
     return counts

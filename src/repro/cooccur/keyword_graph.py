@@ -7,18 +7,25 @@ correlation-weighted graph ``G'`` on which biconnected components are
 computed.  Keywords are generic tokens: the production pipeline
 builds the graph over interned integer ids (see :mod:`repro.vocab`);
 raw string sets work identically.
+
+The in-memory build and :meth:`KeywordGraph.prune` are the hot loop
+of a document-fed run, so both keep the per-pair work to a handful of
+integer operations; :mod:`repro.stats` stays the reference that
+defines (and, near the critical value, decides) every outcome.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.cooccur.aggregate import (
     Token,
     Triplet,
+    count_keywords_and_pairs,
     count_pairs_external,
-    count_pairs_in_memory,
 )
 from repro.graph.adjacency import Graph
 from repro.stats import (
@@ -29,6 +36,11 @@ from repro.stats import (
 from repro.storage.iostats import IOStats
 
 RHO_DEFAULT = 0.2
+
+# Relative half-width of the band around the critical value inside
+# which prune() lets repro.stats.chi_square decide (see prune()).
+_CHI2_GUARD = 1e-9
+_EPS = sys.float_info.epsilon
 
 
 @dataclass
@@ -82,8 +94,9 @@ class KeywordGraph:
         """Build from per-document keyword sets.
 
         With ``external=True`` the counting runs through the
-        sort-based, bounded-memory pipeline of Section 3; otherwise a
-        hash aggregation is used.  Both produce identical graphs.
+        sort-based, bounded-memory pipeline of Section 3; otherwise
+        the counts are hash-aggregated in memory, straight into the
+        graph's two tables.  Both produce identical counts.
         """
         materialized = list(keyword_sets)
         n = len(materialized)
@@ -91,13 +104,15 @@ class KeywordGraph:
             raise ValueError("cannot build a keyword graph from an "
                              "empty document collection")
         if external:
-            triplets: Iterable[Triplet] = count_pairs_external(
-                materialized, max_records=max_records,
-                directory=directory, stats=stats)
-        else:
-            counts = count_pairs_in_memory(materialized)
-            triplets = ((u, v, c) for (u, v), c in counts.items())
-        return cls.from_triplets(triplets, num_documents=n)
+            return cls.from_triplets(
+                count_pairs_external(materialized,
+                                     max_records=max_records,
+                                     directory=directory, stats=stats),
+                num_documents=n)
+        graph = cls(n)
+        graph._node_counts, graph._edge_counts = \
+            count_keywords_and_pairs(materialized)
+        return graph
 
     # ------------------------------------------------------------------
     # Counts and statistics
@@ -166,25 +181,69 @@ class KeywordGraph:
         reference [12]): without this filter, every pair of words that
         co-occur in a single document scores ρ = 1.0 and χ² = n, and
         each document's unique rare words form a spurious clique.
+
+        The outcome is defined by :func:`repro.stats.chi_square` and
+        :func:`repro.stats.correlation_coefficient`; the loop only
+        avoids calling them where the answer cannot depend on it.
+        For consistent, non-degenerate counts Formula 1 collapses to
+        the closed form ``χ² = n·d² / (A(u)·A(v)·(n−A(u))·(n−A(v)))``
+        with ``d = n·A(u,v) − A(u)·A(v)``, one correctly rounded
+        division of exact integers.  That value is a *prefilter*:
+        clearly below the critical value the edge is dropped, clearly
+        above it passes, and inside a guard band (1e-9 relative,
+        widened to the reference's own worst-case rounding error for
+        extreme ``n``/critical values) the four-cell reference sum
+        decides, because its last-bit rounding, not the closed form's,
+        is what the result is pinned to.  Degenerate marginals
+        (``A(u)`` of 0 or n: the closed form would divide by zero) and
+        inconsistent counts (only ``from_triplets`` can produce them)
+        always go to the reference, which scores the former 0.0 and
+        raises :class:`ValueError` for the latter.  ρ is evaluated by
+        the same float expression as the reference, so weights are
+        bit-identical.
         """
         pruned = Graph()
         n = self.num_documents
-        total = after_chi2 = after_rho = 0
-        for u, v, a_uv in self.edges():
-            total += 1
-            a_u, a_v = self.count(u), self.count(v)
-            if min(a_u, a_v) < min_support:
+        count = self._node_counts.get
+        sqrt = math.sqrt
+        # Cancellation in the reference's (E - A) terms bounds its
+        # error near the critical value by eps * (sqrt(n * critical)
+        # + critical + n * eps); the fixed relative guard dwarfs that
+        # until n / critical passes ~1e11 (a near-zero critical value).
+        # An infinite critical value makes the guard infinite (the
+        # reference decides every edge); nan fails every comparison,
+        # here and in the reference alike.
+        critical = abs(chi2_critical)
+        guard = max(_CHI2_GUARD * critical, 8 * _EPS * (
+            sqrt(n * critical) + critical + n * _EPS))
+        after_chi2 = after_rho = 0
+        for (u, v), a_uv in self._edge_counts.items():
+            a_u = count(u, 0)
+            a_v = count(v, 0)
+            if a_u < min_support or a_v < min_support:
                 continue
-            if chi_square(a_u, a_v, a_uv, n) <= chi2_critical:
-                continue
+            if 0 < a_uv <= a_u < n and a_uv <= a_v < n \
+                    and a_u + a_v - a_uv <= n:
+                d = n * a_uv - a_u * a_v
+                var_u = (n - a_u) * a_u
+                var_v = (n - a_v) * a_v
+                chi2 = n * d * d / (var_u * var_v)
+                if abs(chi2 - chi2_critical) <= guard:
+                    chi2 = chi_square(a_u, a_v, a_uv, n)
+                if chi2 <= chi2_critical:
+                    continue
+                rho = d / sqrt(var_u) / sqrt(var_v)
+            else:
+                if chi_square(a_u, a_v, a_uv, n) <= chi2_critical:
+                    continue
+                rho = correlation_coefficient(a_u, a_v, a_uv, n)
             after_chi2 += 1
-            rho = correlation_coefficient(a_u, a_v, a_uv, n)
             if rho <= rho_threshold:
                 continue
             after_rho += 1
             pruned.add_edge(u, v, weight=rho)
         if report is not None:
-            report.total_edges = total
+            report.total_edges = len(self._edge_counts)
             report.after_chi2 = after_chi2
             report.after_rho = after_rho
         return pruned

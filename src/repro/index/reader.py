@@ -16,6 +16,14 @@ frame is never decoded.  When a merge swaps the segment set (the
 manifest generation no longer extends the segments this reader
 loaded), the reader rebuilds from the new segment list; the decoded
 cluster cache survives, because merged records are byte-identical.
+
+An id-token index is decoded against **one** append-only
+:class:`~repro.vocab.Vocabulary` per reader: ids are positions in the
+token table and never change, so a tailing refresh interns only the
+tokens the new generation added, and every cluster this reader hands
+out shares that one object.  Only a structural rebuild starts a new
+table.  A token the stored table carries twice would make two ids
+decode to one keyword, so it is rejected as corruption.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from repro.storage.recordlog import (
     RecordLogReader,
 )
 from repro.text.stemmer import stem
-from repro.vocab import FrozenVocabulary
+from repro.vocab import Vocabulary
 
 # A cluster record's address: (segment name, file, offset, length).
 _NodeRef = Tuple[str, str, int, int]
@@ -117,8 +125,7 @@ class ClusterIndexReader:
         self._cache = LRUCache(cache_size)
         self._use_mmap = use_mmap
         self._views: Dict[str, _SegmentView] = {}
-        self._tokens: List[str] = []
-        self._frozen: Optional[FrozenVocabulary] = None
+        self._vocab: Optional[Vocabulary] = None  # id indexes only
         self._nodes: Dict[NodeId, _NodeRef] = {}
         self._per_interval: Dict[int, List[NodeId]] = {}
         self._postings: Dict[Any, List[NodeId]] = {}
@@ -142,8 +149,7 @@ class ClusterIndexReader:
         for view in self._views.values():
             view.close()
         self._views = {}
-        self._tokens = []
-        self._frozen = None
+        self._vocab = None
         self._nodes = {}
         self._per_interval = {}
         self._postings = {}
@@ -166,36 +172,43 @@ class ClusterIndexReader:
             # state no longer lines up, so rebuild from scratch.
             self._reset()
         self._manifest = manifest
+        if manifest["token_kind"] == "id" and self._vocab is None:
+            self._vocab = Vocabulary()
         for meta in manifest["segments"]:
             view = self._views.get(meta["name"])
             if view is None:
-                if meta["vocab_base"] != len(self._tokens):
+                held = 0 if self._vocab is None else len(self._vocab)
+                if meta["vocab_base"] != held:
                     raise IndexCorruptError(
                         f"segment {meta['name']!r} expects vocab "
                         f"base {meta['vocab_base']}, reader holds "
-                        f"{len(self._tokens)} tokens")
+                        f"{held} tokens")
                 view = _SegmentView(self.directory, meta,
                                     self._use_mmap)
                 self._views[meta["name"]] = view
             view.meta = meta
             self._scan_segment(view)
-        if manifest["token_kind"] == "id":
-            if len(self._tokens) != manifest["vocab_size"]:
-                raise IndexCorruptError(
-                    f"vocabulary holds {len(self._tokens)} tokens, "
-                    f"manifest records {manifest['vocab_size']}")
-            if self._frozen is None \
-                    or len(self._frozen) != len(self._tokens):
-                self._frozen = FrozenVocabulary(self._tokens)
+        if self._vocab is not None \
+                and len(self._vocab) != manifest["vocab_size"]:
+            raise IndexCorruptError(
+                f"vocabulary holds {len(self._vocab)} tokens, "
+                f"manifest records {manifest['vocab_size']}")
         self._validate(manifest)
 
     def _scan_segment(self, view: _SegmentView) -> None:
         sizes = view.meta["files"]
-        if self._manifest["token_kind"] == "id":
+        vocab = self._vocab
+        if vocab is not None:
             for record in self._scan(
                     view, VOCABULARY_FILE,
                     sizes.get(VOCABULARY_FILE, 0)):
-                self._tokens.extend(record)
+                for token in record:
+                    if token in vocab:
+                        raise IndexCorruptError(
+                            f"segment {view.name!r} adds token "
+                            f"{token!r} to the vocabulary a second "
+                            f"time")
+                    vocab.intern(token)
         for shard in range(self._manifest["num_shards"]):
             name = shard_file(shard)
             self._scan_shard(view, name, sizes.get(name, 0))
@@ -511,7 +524,7 @@ class ClusterIndexReader:
                 f"corrupt cluster record for node {node} in "
                 f"{name!r} of segment {seg_name!r}: {exc}") from None
         cluster = KeywordCluster(tokens=tokens, token_edges=edges,
-                                 interval=label, vocab=self._frozen)
+                                 interval=label, vocab=self._vocab)
         self._cache.put(node, cluster)
         return cluster
 
@@ -539,16 +552,16 @@ class ClusterIndexReader:
 
     def _resolve(self, query_stem: str) -> Optional[Any]:
         """The postings key for an already-stemmed keyword."""
-        if self._frozen is None:
+        if self._vocab is None:
             return query_stem if query_stem in self._postings else None
         try:
-            return self._frozen.id_of(query_stem)
+            return self._vocab.id_of(query_stem)
         except KeyError:
             return None
 
     def _decode_token(self, token: Any) -> str:
-        return token if self._frozen is None \
-            else self._frozen.decode(token)
+        return token if self._vocab is None \
+            else self._vocab.decode(token)
 
     def _best_cluster(self, query_stem: str,
                       interval: int) -> Optional[KeywordCluster]:

@@ -1,9 +1,10 @@
 """The interactive query front end over a persisted cluster index.
 
 :class:`ClusterQueryService` is what a serving tier instantiates per
-index: it owns a :class:`~repro.index.ClusterIndexReader`, keeps one
-LRU-cached :class:`~repro.search.QueryRefiner` per queried interval,
-and answers the paper's Section-1 questions — refinement suggestions,
+index: it owns a :class:`~repro.index.ClusterIndexReader`, keeps a
+bounded LRU of :class:`~repro.search.QueryRefiner` objects (one per
+recently queried interval, at most :data:`MAX_OPEN_REFINERS`), and
+answers the paper's Section-1 questions — refinement suggestions,
 keyword -> cluster lookups, stable paths — without ever touching the
 source documents.  Against a *live* index (a streaming run still
 appending) :meth:`refresh` tails the growth and invalidates the
@@ -23,7 +24,6 @@ working set.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Union
 
 from repro.core.paths import Path
@@ -36,6 +36,12 @@ from repro.storage.rwlock import RWLock
 from repro.text.stemmer import stem
 
 DEFAULT_REFINER_CACHE = 256
+
+# Refiners kept open at once.  They are stateless views of one
+# interval's postings (rebuilding one is cheap), but a tailing service
+# is asked about every interval that ever existed, so the set must
+# not grow with the index.
+MAX_OPEN_REFINERS = 64
 
 _MISSING = object()
 
@@ -75,13 +81,12 @@ class ClusterQueryService:
                     "opens the reader itself (pass a directory path)")
             self.reader = index
         self._cache_size = cache_size
-        self._refiners: Dict[int, QueryRefiner] = {}
+        self._refiners = LRUCache(MAX_OPEN_REFINERS)
         # One hot-keyword answer cache for every interval and every
         # connection, keyed (interval, stem).  Counters survive
         # refresh(), unlike the per-refiner caches they replace.
         self._hot = LRUCache(cache_size)
         self._rwlock = RWLock()
-        self._refiner_lock = threading.Lock()
         self._closed = False
 
     def _check_open(self) -> None:
@@ -118,12 +123,10 @@ class ClusterQueryService:
             else interval
         refiner = self._refiners.get(interval)
         if refiner is None:
-            with self._refiner_lock:
-                refiner = self._refiners.get(interval)
-                if refiner is None:
-                    refiner = self.reader.refiner(interval,
-                                                  cache_size=0)
-                    self._refiners[interval] = refiner
+            # Two threads racing a cold interval may both build one;
+            # refiners hold no state, so the later put simply wins.
+            refiner = self.reader.refiner(interval, cache_size=0)
+            self._refiners.put(interval, refiner)
         return refiner
 
     def refine(self, keyword: str,
@@ -196,9 +199,9 @@ class ClusterQueryService:
             before = self.reader.num_intervals
             if not self.reader.refresh():
                 return False
-            for interval in list(self._refiners):
+            for interval in self._refiners.keys():
                 if interval >= before - 1:
-                    del self._refiners[interval]
+                    self._refiners.pop(interval)
             for key in self._hot.keys():
                 if key[0] >= before - 1:
                     self._hot.pop(key)

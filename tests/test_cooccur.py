@@ -1,9 +1,11 @@
 """Unit, integration and property tests for co-occurrence counting."""
 
+import math
 import tempfile
+from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cooccur import (
@@ -16,6 +18,12 @@ from repro.cooccur import (
 )
 from repro.cooccur.pairs import read_pair_file
 from repro.cooccur.keyword_graph import PruneReport
+from repro.graph.adjacency import Graph
+from repro.stats import (
+    CHI2_CRITICAL_95,
+    chi_square,
+    correlation_coefficient,
+)
 
 DOCS = [
     frozenset({"saddam", "hussein", "trial"}),
@@ -191,3 +199,287 @@ class TestPrune:
         if pruned.has_edge("a", "b"):
             assert pruned.weight("a", "b") == pytest.approx(
                 graph.correlation("a", "b"))
+
+
+# ----------------------------------------------------------------------
+# Differential tests: the Section-3 kernel against its references
+# ----------------------------------------------------------------------
+
+
+def _reference_prune(graph, rho_threshold=0.2,
+                     chi2_critical=CHI2_CRITICAL_95, min_support=5):
+    """The paper's prune, one ``repro.stats`` call per edge and test —
+    the loop ``KeywordGraph.prune`` must stay bit-identical to."""
+    n = graph.num_documents
+    report = PruneReport()
+    pruned = Graph()
+    for u, v, a_uv in graph.edges():
+        report.total_edges += 1
+        a_u, a_v = graph.count(u), graph.count(v)
+        if min(a_u, a_v) < min_support:
+            continue
+        if chi_square(a_u, a_v, a_uv, n) <= chi2_critical:
+            continue
+        report.after_chi2 += 1
+        rho = correlation_coefficient(a_u, a_v, a_uv, n)
+        if rho <= rho_threshold:
+            continue
+        report.after_rho += 1
+        pruned.add_edge(u, v, weight=rho)
+    return pruned, report
+
+
+def _adjacency(graph):
+    """Vertices, neighbours and weights in insertion order; weights
+    compare with ``==``, so a last-bit difference fails."""
+    return [(v, [(w, graph.weight(v, w)) for w in graph.neighbors(v)])
+            for v in graph.vertices()]
+
+
+def _assert_prune_matches_reference(graph, **thresholds):
+    report = PruneReport()
+    pruned = graph.prune(report=report, **thresholds)
+    expected, expected_report = _reference_prune(graph, **thresholds)
+    assert report == expected_report
+    assert _adjacency(pruned) == _adjacency(expected)
+
+
+def _closed_form_chi2(a_u, a_v, a_uv, n):
+    d = n * a_uv - a_u * a_v
+    return n * d * d / (a_u * a_v * (n - a_u) * (n - a_v))
+
+
+@st.composite
+def _count_graphs(draw):
+    """A ``from_triplets`` graph over consistent ``(A(u), A(v),
+    A(u,v), n)`` counts, marginals of ``n`` (degenerate) included."""
+    n = draw(st.integers(2, 10 ** 6))
+    marginals = draw(st.lists(st.integers(1, n), min_size=2,
+                              max_size=7))
+    triplets = [(i, i, a) for i, a in enumerate(marginals)]
+    for i, a_u in enumerate(marginals):
+        for j in range(i + 1, len(marginals)):
+            a_v = marginals[j]
+            low = max(1, a_u + a_v - n)
+            if draw(st.booleans()):
+                triplets.append((i, j, draw(
+                    st.integers(low, min(a_u, a_v)))))
+    draw(st.randoms(use_true_random=False)).shuffle(triplets)
+    return KeywordGraph.from_triplets(triplets, num_documents=n)
+
+
+_THRESHOLDS = dict(
+    rho_threshold=st.one_of(st.just(0.2), st.floats(-1.0, 1.0)),
+    chi2_critical=st.one_of(
+        st.sampled_from([CHI2_CRITICAL_95, 0.0, -1.0, 6.63,
+                         math.inf, -math.inf, math.nan]),
+        st.floats(0.0, 50.0), st.floats(0.0, 1e-6)),
+    min_support=st.integers(0, 6),
+)
+
+
+class TestPruneMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.frozensets(st.integers(0, 9), max_size=6),
+                    min_size=1, max_size=40),
+           st.fixed_dictionaries(_THRESHOLDS))
+    def test_document_graphs(self, docs, thresholds):
+        """Counted graphs (always consistent; a keyword in every
+        document is degenerate) under arbitrary thresholds."""
+        _assert_prune_matches_reference(
+            KeywordGraph.from_keyword_sets(docs), **thresholds)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_count_graphs(), st.fixed_dictionaries(_THRESHOLDS))
+    def test_count_graphs(self, graph, thresholds):
+        _assert_prune_matches_reference(graph, **thresholds)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_count_graphs(), st.data())
+    def test_critical_value_inside_and_around_the_guard_band(
+            self, graph, data):
+        """Put ``chi2_critical`` on, a few ulps off, and just inside
+        and outside the 1e-9 band around one edge's own statistic:
+        wherever the closed form and the four-cell sum could disagree
+        in the last bits, the reference must be the one deciding."""
+        n = graph.num_documents
+        edges = [(graph.count(u), graph.count(v), a_uv)
+                 for u, v, a_uv in graph.edges()
+                 if graph.count(u) < n and graph.count(v) < n]
+        assume(edges)
+        a_u, a_v, a_uv = data.draw(st.sampled_from(edges))
+        centre = data.draw(st.sampled_from([
+            _closed_form_chi2(a_u, a_v, a_uv, n),
+            chi_square(a_u, a_v, a_uv, n)]))
+        assume(centre > 0)
+        nudge = data.draw(st.one_of(
+            st.integers(-8, 8).map(lambda ulps: ("ulps", ulps)),
+            st.sampled_from([-3e-9, -2e-9, -1.5e-9, -9e-10, -5e-10,
+                             -1e-12, 1e-12, 5e-10, 9e-10, 1.5e-9,
+                             2e-9, 3e-9]).map(
+                lambda rel: ("relative", rel))))
+        if nudge[0] == "ulps":
+            critical = centre
+            for _ in range(abs(nudge[1])):
+                critical = math.nextafter(
+                    critical, math.copysign(math.inf, nudge[1]))
+        else:
+            critical = centre * (1.0 + nudge[1])
+        _assert_prune_matches_reference(
+            graph, chi2_critical=critical, min_support=0,
+            rho_threshold=data.draw(st.sampled_from([0.2, -1.0])))
+
+    def test_negative_correlation_passes_chi2_and_fails_rho(self):
+        """u and v avoid each other: strongly significant, ρ < 0."""
+        graph = KeywordGraph.from_triplets(
+            [("u", "u", 50), ("v", "v", 50), ("u", "v", 5)],
+            num_documents=100)
+        assert graph.chi_square("u", "v") > CHI2_CRITICAL_95
+        assert graph.correlation("u", "v") < 0
+        report = PruneReport()
+        pruned = graph.prune(report=report)
+        assert (report.total_edges, report.after_chi2,
+                report.after_rho) == (1, 1, 0)
+        assert pruned.num_edges == 0
+        _assert_prune_matches_reference(graph)
+        # ... and survives once the threshold admits it.
+        _assert_prune_matches_reference(graph, rho_threshold=-1.0)
+        assert graph.prune(rho_threshold=-1.0).weight("u", "v") == \
+            correlation_coefficient(50, 50, 5, 100)
+
+
+class TestPruneEdgeCases:
+    def test_min_support_zero_with_degenerate_marginals(self):
+        """A(u) = n and a never-counted endpoint (A(u) = 0) make the
+        closed form divide by zero; the reference scores A(u) = n 0.0
+        and rejects A(u,v) > A(u) = 0."""
+        everywhere = KeywordGraph.from_keyword_sets(
+            [frozenset({"the", "a"}), frozenset({"the", "b"}),
+             frozenset({"the", "a", "b"})])
+        assert everywhere.count("the") == everywhere.num_documents
+        report = PruneReport()
+        pruned = everywhere.prune(min_support=0, report=report)
+        assert pruned.num_edges == 0 and report.after_chi2 == 0
+        _assert_prune_matches_reference(everywhere, min_support=0)
+        # A negative critical value admits the 0.0 score; ρ is 0.0.
+        _assert_prune_matches_reference(
+            everywhere, min_support=0, chi2_critical=-1.0,
+            rho_threshold=-0.5)
+        assert everywhere.prune(
+            min_support=0, chi2_critical=-1.0,
+            rho_threshold=-0.5).weight("the", "a") == 0.0
+
+        uncounted = KeywordGraph.from_triplets(
+            [("a", "a", 3), ("a", "ghost", 2)], num_documents=10)
+        assert uncounted.prune().num_edges == 0  # below support
+        with pytest.raises(ValueError) as raised:
+            uncounted.prune(min_support=0)
+        with pytest.raises(ValueError) as expected:
+            chi_square(3, 0, 2, 10)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("a_u, a_v, a_uv, n", [
+        (6, 7, 9, 20),     # A(u,v) > min(A(u), A(v))
+        (25, 7, 6, 20),    # one marginal > n
+        (25, 30, 22, 20),  # both marginals > n: closed form positive
+        (15, 14, 6, 20),   # union > n
+    ])
+    def test_inconsistent_triplets_raise_like_the_reference(
+            self, a_u, a_v, a_uv, n):
+        graph = KeywordGraph.from_triplets(
+            [("u", "u", a_u), ("v", "v", a_v), ("u", "v", a_uv)],
+            num_documents=n)
+        with pytest.raises(ValueError) as expected:
+            chi_square(a_u, a_v, a_uv, n)
+        with pytest.raises(ValueError) as raised:
+            graph.prune()
+        assert str(raised.value) == str(expected.value)
+        # Below the support threshold the edge is skipped before
+        # either statistic is evaluated, exactly as before.
+        report = PruneReport()
+        assert graph.prune(min_support=40, report=report) \
+            .num_edges == 0
+        assert (report.total_edges, report.after_chi2) == (1, 0)
+
+
+def _legacy_build(keyword_sets):
+    """The build ``from_keyword_sets`` replaced: hash-aggregate the
+    emitted pair stream, then re-hash it through ``from_triplets``."""
+    counts = Counter(emit_pairs(keyword_sets))
+    return KeywordGraph.from_triplets(
+        ((u, v, c) for (u, v), c in counts.items()),
+        num_documents=len(keyword_sets))
+
+
+_ID_DOCS = st.lists(st.frozensets(st.integers(0, 30), max_size=7),
+                    min_size=1, max_size=25)
+_STR_DOCS = st.lists(
+    st.frozensets(st.sampled_from("abcdefghij"), max_size=6),
+    min_size=1, max_size=25)
+
+
+class TestCountMatchesReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_ID_DOCS, _STR_DOCS))
+    def test_same_counts_in_the_same_order(self, docs):
+        """Insertion order is first occurrence in the emitted stream;
+        it fixes G' adjacency order and hence cluster order.  (The
+        external build inserts in sort order — same counts.)"""
+        graph = KeywordGraph.from_keyword_sets(docs)
+        legacy = _legacy_build(docs)
+        assert graph.num_documents == legacy.num_documents
+        assert list(graph.keywords()) == list(legacy.keywords())
+        assert [graph.count(k) for k in graph.keywords()] == \
+            [legacy.count(k) for k in legacy.keywords()]
+        assert list(graph.edges()) == list(legacy.edges())
+        with tempfile.TemporaryDirectory() as tmp:
+            external = KeywordGraph.from_keyword_sets(
+                docs, external=True, directory=tmp, max_records=7)
+        assert sorted(external.keywords()) == sorted(graph.keywords())
+        assert [external.count(k) for k in sorted(graph.keywords())] \
+            == [graph.count(k) for k in sorted(graph.keywords())]
+        assert sorted(external.edges()) == sorted(graph.edges())
+        assert _adjacency(graph.prune(min_support=1)) == \
+            _adjacency(legacy.prune(min_support=1))
+
+    def test_empty_documents_count_towards_n_only(self):
+        docs = [frozenset(), frozenset({"b", "a"}), frozenset(),
+                frozenset({"a"}), frozenset({"c", "b", "a"})]
+        graph = KeywordGraph.from_keyword_sets(docs)
+        assert graph.num_documents == 5
+        assert list(graph.keywords()) == ["a", "b", "c"]
+        assert list(graph.edges()) == [
+            ("a", "b", 2), ("a", "c", 1), ("b", "c", 1)]
+        assert list(graph.edges()) == list(_legacy_build(docs).edges())
+        only_empty = KeywordGraph.from_keyword_sets([frozenset()] * 3)
+        assert (only_empty.num_documents, only_empty.num_keywords,
+                only_empty.num_edges) == (3, 0, 0)
+        assert only_empty.prune().num_edges == 0
+
+
+class TestHeapRetention:
+    def test_first_count_pins_the_malloc_thresholds(self):
+        """Once the kernel has run, a block far above glibc's default
+        128 KiB mmap threshold is carved from the heap (and goes back
+        to it, not to the kernel): the count of mmapped blocks does
+        not move while it is alive."""
+        import ctypes
+
+        libc = ctypes.CDLL(None)
+        if not hasattr(libc, "mallopt") \
+                or not hasattr(libc, "mallinfo2"):
+            pytest.skip("not glibc >= 2.33")
+
+        class MallInfo(ctypes.Structure):
+            _fields_ = [(name, ctypes.c_size_t) for name in (
+                "arena", "ordblks", "smblks", "hblks", "hblkhd",
+                "usmblks", "fsmblks", "uordblks", "fordblks",
+                "keepcost")]
+
+        libc.mallinfo2.restype = MallInfo
+        count_pairs_in_memory([frozenset({1, 2, 3})])
+        count_pairs_in_memory([frozenset({1, 2})])  # pinned only once
+        before = libc.mallinfo2().hblks
+        block = bytearray(3 << 20)
+        assert libc.mallinfo2().hblks == before
+        del block

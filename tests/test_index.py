@@ -323,6 +323,28 @@ class TestCorruptionRejection:
         with pytest.raises(IndexCorruptError, match="manifest"):
             ClusterIndexReader(index_dir)
 
+    def test_repeated_vocabulary_token_rejected(self, tmp_path):
+        """Ids are positions in the token table: a token stored twice
+        would give one keyword two ids, however well-framed the
+        record and however consistent the manifest's sizes."""
+        from repro.storage.codec import encode_compact
+        from repro.storage.recordlog import append_record
+
+        index_dir = self._build(tmp_path)
+        with ClusterIndexReader(index_dir) as reader:
+            token = reader.lookup("somalia", 0).vocab.decode(0)
+        path = _segment_file(index_dir, "vocabulary.bin")
+        with open(path, "ab") as fh:
+            append_record(fh, encode_compact((token,)))
+        manifest = json.load(open(manifest_path(index_dir)))
+        manifest["vocab_size"] += 1
+        manifest["segments"][0]["vocab_size"] += 1
+        manifest["segments"][0]["files"]["vocabulary.bin"] = \
+            os.path.getsize(path)
+        json.dump(manifest, open(manifest_path(index_dir), "w"))
+        with pytest.raises(IndexCorruptError, match="second time"):
+            ClusterIndexReader(index_dir)
+
 
 class TestManifestContents:
     def test_query_and_provenance_recorded(self, tmp_path):

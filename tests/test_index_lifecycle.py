@@ -36,6 +36,7 @@ from repro.storage.recordlog import (
 )
 from repro.streaming import StreamingDocumentPipeline
 from repro.text.documents import Document, IntervalCorpus
+from repro.vocab import Vocabulary
 
 
 def _corpus(m=5, start=0):
@@ -383,6 +384,68 @@ class TestTailingReader:
         assert reader.paths() == before["paths"]
         for interval, clusters in enumerate(before["clusters"]):
             assert reader.clusters_at(interval) == clusters
+        reader.close()
+
+
+    def test_one_vocabulary_across_growing_generations(self, tmp_path):
+        """Every generation of a live id-token index adds keywords;
+        the tailing reader extends one vocabulary object instead of
+        re-snapshotting the table per generation, so clusters decoded
+        24 generations apart share it.  The writer's sixth seal then
+        merges: the reader rebuilds structurally (a new table with
+        the same ids), and clusters cached under the old one keep
+        decoding to the same keywords."""
+        index_dir = str(tmp_path / "index")
+
+        def keywords(i):
+            return frozenset({f"t{i}x", f"t{i}y"})
+
+        with ClusterIndexWriter(
+                index_dir, vocab=Vocabulary(), flush_intervals=4,
+                merge_policy=MergePolicy(max_segments=5)) as writer:
+            writer.append_interval([_cluster("t0", 0)])
+            reader = ClusterIndexReader(index_dir)
+            first = reader.cluster((0, 0))
+            vocab = first.vocab
+            assert isinstance(vocab, Vocabulary)
+            assert first.keywords == keywords(0)
+            generations = {reader.generation}
+            for i in range(1, 24):
+                writer.append_interval([_cluster(f"t{i}", i)])
+                assert reader.refresh()
+                generations.add(reader.generation)
+                assert reader.vocab_size == len(vocab) == 2 * (i + 1)
+                if i % 2 == 0:  # odd intervals stay undecoded
+                    assert reader.lookup(f"t{i}y", i).vocab is vocab
+            assert len(generations) == 24
+            assert reader.num_segments == 6  # five sealed, one growing
+            last = reader.cluster((23, 0))
+            assert last.vocab is first.vocab
+            assert first.keywords == keywords(0)
+            assert last.keywords == keywords(23)
+            assert reader.lookup("t0x", 0) is first
+            assert reader.lookup("t23x") is last
+            assert reader.postings_for("t11y") == ((11, 0),)
+
+            writer.append_interval([_cluster("t24", 24)])
+            assert reader.refresh()
+            assert reader.num_segments < 6  # the merge swapped them
+            assert reader.cluster((0, 0)) is first  # cache survives
+            assert first.keywords == keywords(0)
+            fresh = reader.cluster((24, 0))
+            assert fresh.vocab is not vocab
+            assert fresh.vocab.tokens[:len(vocab)] == vocab.tokens
+            assert fresh.keywords == keywords(24)
+            assert reader.lookup("t0y", 0) is first
+            assert reader.lookup("t24x") is fresh
+            assert reader.cluster((12, 0)).vocab is vocab
+            uncached = reader.cluster((13, 0))
+            assert uncached.vocab is fresh.vocab
+            assert uncached.keywords == keywords(13)
+            assert uncached == _cluster("t13", 13)
+        assert reader.refresh() and reader.complete
+        assert reader.cluster((23, 0)) is last
+        assert reader.cluster((13, 0)) is uncached
         reader.close()
 
 

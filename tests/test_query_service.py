@@ -155,6 +155,48 @@ class TestClusterQueryService:
                 assert final["refiner_misses"] == \
                     after["refiner_misses"] + 1
 
+    def test_open_refiners_are_bounded(self, tmp_path):
+        """A long-lived service is asked about every interval that
+        ever existed; the refiners it keeps open must not grow with
+        the index, and evicted ones are rebuilt with equal answers."""
+        from repro.graph.clusters import KeywordCluster
+        from repro.index import ClusterIndexWriter
+        from repro.service.query_service import MAX_OPEN_REFINERS
+
+        index_dir = str(tmp_path / "long")
+        cluster = KeywordCluster(
+            frozenset({"beckham", "madrid"}),
+            edges=(("beckham", "madrid", 0.5),))
+        with ClusterIndexWriter(index_dir) as writer:
+            for _ in range(1000):
+                writer.append_interval([cluster])
+            with ClusterQueryService(index_dir) as service:
+                first = service.refine("beckham", 0)
+                assert first.strongest == "madrid"
+                for interval in range(1000):
+                    assert service.refine(
+                        "beckham", interval) == first
+                assert service.stats()["refiners_open"] == \
+                    MAX_OPEN_REFINERS
+                # A tailing refresh still drops what used to be the
+                # latest interval's refiner, and only that one.
+                writer.append_interval([cluster])
+                assert service.refresh()
+                assert service.stats()["refiners_open"] == \
+                    MAX_OPEN_REFINERS - 1
+                for interval in range(1000, 2000):
+                    writer.append_interval([cluster])
+                assert service.refresh()
+                for interval in range(2000):
+                    assert service.refiner(interval).refine(
+                        "madrid") is not None
+                stats = service.stats()
+                assert stats["intervals"] == 2001
+                assert stats["refiners_open"] == MAX_OPEN_REFINERS
+                # Interval 0 was evicted long ago; its answer is not
+                # in the hot LRU either (256 entries, 1000 since).
+                assert service.refine("beckham", 0) == first
+
     def test_use_after_close_raises(self, built):
         """The pool use-after-close contract, mirrored."""
         index_dir, _ = built
