@@ -16,18 +16,37 @@ asserted:
 * DFS costs far more I/O (one random read per child consideration);
 * TA is competitive at m=3 and explodes by m=9 (its probe count is
   exponential in m).
+
+Runs under pytest alongside the paper benchmarks, and standalone for
+the solver layer's perf trajectory — ``--json PATH`` times the same
+nine cells through :func:`repro.engine.solve_report` (best of
+``ROUNDS``) and stores them as one named row of the repo-root
+``BENCH_solvers.json`` that ``make bench-json`` versions; rows
+already in the file under other names are kept, so a row measured on
+an earlier commit (``--row before``, ``PYTHONPATH`` pointing at that
+checkout's ``src``) stays beside the current one::
+
+    PYTHONPATH=src python benchmarks/bench_table3_bfs_dfs_ta.py \\
+        --json BENCH_solvers.json
 """
 
 from __future__ import annotations
 
+import json
+import os
+import tempfile
+import time
+from typing import Dict, List, Optional
+
 import pytest
 
 from repro.datagen import synthetic_cluster_graph
-from repro.engine import StableQuery, get_solver
+from repro.engine import StableQuery, get_solver, solve_report
 from repro.storage import DiskDict
 
 MS = [3, 6, 9]
 N, D, G, K = 100, 3, 0, 5
+ROUNDS = 3
 
 _TIMES = {}
 
@@ -104,3 +123,67 @@ def test_table3_shapes(series, shape):
                f"{bfs_growth:.0f}x from m=3 to m=9", "")
 
     shape(check)
+
+
+def measure_cell(name: str, m: int) -> Dict[str, float]:
+    """One Table-3 cell outside pytest: best-of-``ROUNDS`` seconds and
+    the run's summed SolverStats counters (DFS on a fresh on-disk
+    node store every round, as in the table)."""
+    graph = _graph(m)
+    best = float("inf")
+    for _ in range(ROUNDS):
+        stats = get_solver(name).new_stats()
+        with tempfile.TemporaryDirectory() as tmp:
+            started = time.perf_counter()
+            if name == "dfs":
+                with DiskDict(os.path.join(tmp, "dfs.bin")) as store:
+                    report = solve_report(graph, _query(), solver=name,
+                                          backend=store, stats=stats)
+            else:
+                report = solve_report(graph, _query(), solver=name,
+                                      stats=stats)
+            best = min(best, time.perf_counter() - started)
+        assert len(report.paths) == K
+    return {"seconds": round(best, 4),
+            "work": sum(stats.counters().values())}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Standalone JSON mode for the perf trajectory (no pytest)."""
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--json", metavar="PATH",
+                        help="store this run as a row of PATH (the "
+                             "BENCH_solvers.json artifact)")
+    parser.add_argument("--row", default="after",
+                        help="name of the row this run is stored "
+                             "under (default: after)")
+    args = parser.parse_args(argv)
+    row = {name: {str(m): measure_cell(name, m) for m in MS}
+           for name in ("bfs", "dfs", "ta")}
+    for name, cells in row.items():
+        print(f"{name:<4}" + "".join(
+            f"  m={m}: {cell['seconds']:.4f}s"
+            for m, cell in cells.items()))
+    if args.json:
+        from _json import write_bench_json
+        rows = {}
+        if os.path.exists(args.json):
+            with open(args.json, encoding="utf-8") as handle:
+                rows = json.load(handle)["results"]["rows"]
+        rows[args.row] = row
+        write_bench_json(args.json, "solvers", {
+            "workload": {"n": N, "d": D, "g": G, "k": K, "m": MS,
+                         "length": "full", "rounds": ROUNDS,
+                         "dfs_store": "DiskDict"},
+            "rows": rows,
+        })
+        print(f"wrote {args.json} (row {args.row!r})")
+    return 0
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.exit(main())

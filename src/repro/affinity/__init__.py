@@ -13,6 +13,7 @@ token-checksum band) that rejects candidates before verification.
 
 from repro.affinity.measures import (
     AFFINITY_MEASURES,
+    TOKEN_SET_MEASURES,
     collection_token_sets,
     comparison_sets,
     dice,
@@ -28,6 +29,7 @@ from repro.affinity.measures import (
 from repro.affinity.simjoin import (
     JoinStats,
     SIGNATURE_BANDS,
+    SIMJOIN_CUTOFF,
     intersection_size_sorted,
     required_overlap,
     signature_compatible,
@@ -38,6 +40,7 @@ from repro.affinity.windowjoin import (
     STREAM_SIMJOIN_CUTOFF,
     WindowFrequencyTracker,
     join_partition_task,
+    joins_exactly,
     partition_join_payloads,
     window_affinity_edges,
 )
@@ -46,7 +49,9 @@ __all__ = [
     "AFFINITY_MEASURES",
     "JoinStats",
     "SIGNATURE_BANDS",
+    "SIMJOIN_CUTOFF",
     "STREAM_SIMJOIN_CUTOFF",
+    "TOKEN_SET_MEASURES",
     "WindowFrequencyTracker",
     "collection_token_sets",
     "comparison_sets",
@@ -57,6 +62,7 @@ __all__ = [
     "intersection_size_sorted",
     "jaccard",
     "join_partition_task",
+    "joins_exactly",
     "overlap_coefficient",
     "partition_join_payloads",
     "required_overlap",

@@ -197,6 +197,12 @@ AFFINITY_MEASURES: Dict[str, Callable[[ClusterLike, ClusterLike], float]] = {
     "weighted_jaccard": weighted_jaccard,
 }
 
+# Measures that read nothing but the pair's token sets, so a caller
+# comparing whole collections may resolve the sets once
+# (:func:`collection_token_sets`) and pass those in.
+TOKEN_SET_MEASURES = frozenset(
+    {jaccard, intersection_size, dice, overlap_coefficient})
+
 
 def get_measure(name: str) -> Callable[[ClusterLike, ClusterLike], float]:
     """Look up an affinity measure by name."""

@@ -67,6 +67,12 @@ Token = Hashable
 # whole signature in one small bytes object.
 SIGNATURE_BANDS = 32
 
+# Engage the join once the collections imply more than this many
+# squared comparisons — batch interval pairs and streaming windows
+# alike.  The join is exact for Jaccard, so the choice moves speed,
+# never results; docs/architecture.md has the measurement behind 64.
+SIMJOIN_CUTOFF = 64
+
 # A set signature: (size, per-band token counts).  Plain builtins so
 # partition payloads ship signatures to worker processes as-is.
 Signature = Tuple[int, bytes]

@@ -53,6 +53,7 @@ from repro.affinity.measures import (
     token_sets,
 )
 from repro.affinity.simjoin import (
+    SIMJOIN_CUTOFF,
     JoinStats,
     Signature,
     Token,
@@ -70,11 +71,9 @@ from repro.affinity.simjoin import (
 # the (0, 1] weight bound); duplicated to keep affinity a leaf module.
 EPSILON = 1e-12
 
-# Engage the prefix-filter join once an interval pair implies more
-# than this many comparisons.  Streaming intervals are latency
-# sensitive, so the cutoff is far lower than the batch default (the
-# join is exact for Jaccard — the choice affects speed, not results).
-STREAM_SIMJOIN_CUTOFF = 64
+# The streaming front ends took this name before batch and stream
+# shared one cutoff; kept as an alias.
+STREAM_SIMJOIN_CUTOFF = SIMJOIN_CUTOFF
 
 NodeId = Tuple[int, int]
 WindowEntry = Tuple[Sequence[NodeId], Sequence]
@@ -308,12 +307,26 @@ def _checked(weight: float, measure: Callable) -> float:
     return min(weight, 1.0)
 
 
+def joins_exactly(measure: Callable,
+                  use_simjoin: Optional[bool] = None) -> bool:
+    """True when *measure* is Jaccard, the one measure the
+    prefix-filter join is exact for; forcing the join on
+    (``use_simjoin=True``) with any other raises ``ValueError``
+    rather than silently comparing all pairs."""
+    if use_simjoin and measure is not jaccard:
+        name = getattr(measure, "__name__", repr(measure))
+        raise ValueError(
+            f"use_simjoin=True requires the jaccard measure (the "
+            f"prefix-filter join is only exact for it), got {name}")
+    return measure is jaccard
+
+
 def window_affinity_edges(window: Sequence[WindowEntry],
                           clusters: Sequence,
                           measure: Callable = jaccard,
                           theta: float = 0.1,
                           use_simjoin: Optional[bool] = None,
-                          simjoin_cutoff: int = STREAM_SIMJOIN_CUTOFF,
+                          simjoin_cutoff: int = SIMJOIN_CUTOFF,
                           executor=None,
                           num_partitions: Optional[int] = None,
                           frequency_tracker: Optional[
@@ -352,12 +365,7 @@ def window_affinity_edges(window: Sequence[WindowEntry],
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    is_jaccard = measure is jaccard
-    if use_simjoin and not is_jaccard:
-        name = getattr(measure, "__name__", repr(measure))
-        raise ValueError(
-            f"use_simjoin=True requires the jaccard measure (the "
-            f"prefix-filter join is only exact for it), got {name}")
+    is_jaccard = joins_exactly(measure, use_simjoin)
     edges: List[Tuple[NodeId, int, float]] = []
     if not clusters:
         return edges

@@ -34,6 +34,24 @@ def path_key(path: Path) -> Tuple[float, Tuple[NodeId, ...]]:
     return (path.weight, path.nodes)
 
 
+def path_heap(heaps: NodeHeaps, length: int, k: int) -> TopK:
+    """The top-k heap of *heaps* for paths of *length*, made on first
+    use."""
+    heap = heaps.get(length)
+    if heap is None:
+        heap = heaps[length] = TopK(k, key=path_key)
+    return heap
+
+
+def retain(heap: TopK, path: Path, overall: Optional[TopK]) -> None:
+    """Offer *path* to its node's *heap* and, when that keeps it and
+    the path has the target length, to the *overall* top-k.  A path
+    its node's heap turns down has k better paths of its length
+    there, all offered to *overall* before it."""
+    if heap.check(path) and overall is not None:
+        overall.check(path)
+
+
 @dataclass
 class BFSStats(SolverStats):
     """Work counters for a BFS run (benchmark output)."""
@@ -87,7 +105,7 @@ class BFSEngine:
         self.window_block_nodes = window_block_nodes
         self.stats = stats if stats is not None else BFSStats()
         self.global_heap: TopK[Path] = TopK(k, key=path_key)
-        self._window: Dict[NodeId, NodeHeaps] = {}
+        self._window: Dict[NodeId, Dict[int, List[Path]]] = {}
         self._window_intervals: Deque[int] = deque()
         self._window_nodes: Dict[int, List[NodeId]] = {}
 
@@ -113,13 +131,15 @@ class BFSEngine:
                                        parent_edges, block)
 
         for node, _ in nodes_with_parents:
-            heaps = heaps_by_node[node]
-            self._window[node] = heaps
+            # A finished heap is only ever read: keep its best-first
+            # list, sorted here once, for the children to extend.
+            paths = {x: heap.items()
+                     for x, heap in heaps_by_node[node].items()}
+            self._window[node] = paths
             interval_nodes.append(node)
             self.stats.nodes_processed += 1
             if self.store is not None:
-                self.store[node] = {x: heap.items()
-                                    for x, heap in heaps.items()}
+                self.store[node] = paths
         self._window_intervals.append(interval)
         self._window_nodes[interval] = interval_nodes
         while (self._window_intervals
@@ -144,6 +164,11 @@ class BFSEngine:
     def _accumulate_heaps(self, heaps: NodeHeaps, node: NodeId,
                           parent_edges: Sequence[Tuple[NodeId, float]],
                           block) -> None:
+        """Offer *node*'s heaps every path arriving over
+        *parent_edges*.  A candidate's weight is known before the
+        candidate is: only one that the heap of its length can still
+        admit is built (``paths_generated`` counts candidates, built
+        or not)."""
         for parent, weight in parent_edges:
             if block is not None and parent not in block:
                 continue
@@ -151,22 +176,21 @@ class BFSEngine:
             if length > self.l:
                 continue
             self.stats.edges_processed += 1
-            self._offer(heaps, edge_path(parent, node, weight), length)
-            for x, parent_heap in self._window.get(parent, {}).items():
+            self.stats.paths_generated += 1
+            heap = path_heap(heaps, length, self.k)
+            if heap.admits(weight):
+                retain(heap, edge_path(parent, node, weight),
+                       self.global_heap if length == self.l else None)
+            for x, paths in self._window.get(parent, {}).items():
                 total = x + length
                 if total > self.l:
                     continue
-                for path in parent_heap.items():
-                    self._offer(heaps, path.append(node, weight), total)
-
-    def _offer(self, heaps: NodeHeaps, path: Path, length: int) -> None:
-        heap = heaps.get(length)
-        if heap is None:
-            heap = heaps[length] = TopK(self.k, key=path_key)
-        heap.check(path)
-        if length == self.l:
-            self.global_heap.check(path)
-        self.stats.paths_generated += 1
+                self.stats.paths_generated += len(paths)
+                heap = path_heap(heaps, total, self.k)
+                overall = self.global_heap if total == self.l else None
+                for path in paths:
+                    if heap.admits(path.weight + weight):
+                        retain(heap, path.append(node, weight), overall)
 
     # ------------------------------------------------------------------
     # Results and introspection

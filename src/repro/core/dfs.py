@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple, Union
 from repro.core.cluster_graph import ClusterGraph
 from repro.core.heaps import TopK
 from repro.core.paths import NodeId, Path, edge_path
-from repro.core.bfs import path_key
+from repro.core.bfs import NodeHeaps, path_heap, path_key, retain
 from repro.core.solver_stats import SolverStats
 from repro.storage.backends import StateStore
 
@@ -56,7 +56,7 @@ class NodeAnnotation:
 
     visited: bool = False
     maxweight: Dict[int, float] = field(default_factory=dict)
-    bestpaths: Dict[int, List[Path]] = field(default_factory=dict)
+    bestpaths: NodeHeaps = field(default_factory=dict)
 
 
 @dataclass
@@ -219,47 +219,28 @@ class DFSEngine:
     def _merge_into(self, frame: _Frame, child: NodeId, weight: float,
                     child_annotation: NodeAnnotation) -> None:
         """Extend the child's suffix paths backward into the parent
-        (paper: "update bestpaths(c) using info from c'")."""
+        (paper: "update bestpaths(c) using info from c'").  Only a
+        suffix whose extended weight the parent's heap of that length
+        can still admit is built."""
         self.stats.merges += 1
         length = child[0] - frame.node[0]
         if length > self.l:
             return
-        self._offer_bestpath(frame.annotation,
-                             edge_path(frame.node, child, weight), length)
-        for x, paths in child_annotation.bestpaths.items():
+        best = frame.annotation.bestpaths
+        heap = path_heap(best, length, self.k)
+        if heap.admits(weight):
+            retain(heap, edge_path(frame.node, child, weight),
+                   self.global_heap if length == self.l else None)
+        for x, suffixes in child_annotation.bestpaths.items():
             total = x + length
             if total > self.l:
                 continue
-            for path in paths:
-                self._offer_bestpath(frame.annotation,
-                                     path.prepend(frame.node, weight),
-                                     total)
-
-    def _offer_bestpath(self, annotation: NodeAnnotation, path: Path,
-                        length: int) -> None:
-        paths = annotation.bestpaths.setdefault(length, [])
-        if path in paths:
-            return
-        self._insort_bounded(paths, path)
-        if length == self.l:
-            self.global_heap.check(path)
-
-    def _insort_bounded(self, paths: List[Path], path: Path) -> None:
-        """Insert *path* into the descending-by-key list *paths*,
-        keeping at most k entries — O(log k) compares and one O(k)
-        list shift, versus the naive append+sort's O(k log k)."""
-        key = path_key(path)
-        lo, hi = 0, len(paths)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if path_key(paths[mid]) > key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo >= self.k:
-            return
-        paths.insert(lo, path)
-        del paths[self.k:]
+            heap = path_heap(best, total, self.k)
+            overall = self.global_heap if total == self.l else None
+            for path in suffixes:
+                if heap.admits(path.weight + weight):
+                    retain(heap, path.prepend(frame.node, weight),
+                           overall)
 
 
 def dfs_stable_clusters(graph: ClusterGraph, l: int, k: int,

@@ -37,6 +37,20 @@ class Path:
             raise ValueError(
                 f"path intervals must strictly increase, got {intervals}")
 
+    @staticmethod
+    def unchecked(weight: float, nodes: Tuple[NodeId, ...]) -> "Path":
+        """A path over *nodes* the caller guarantees valid.
+
+        The frozen dataclass's two field stores without
+        ``__post_init__`` walking every interval: for a node tuple
+        that was validated once already (an extension of a valid
+        path, a decoded record).
+        """
+        path = object.__new__(Path)
+        object.__setattr__(path, "weight", weight)
+        object.__setattr__(path, "nodes", nodes)
+        return path
+
     @property
     def length(self) -> int:
         """Temporal span: last interval minus first interval."""
@@ -44,8 +58,12 @@ class Path:
 
     @property
     def num_edges(self) -> int:
-        """Number of edges (at most ``length``; fewer only never —
-        gaps make edges longer, not more numerous)."""
+        """Number of edges: one fewer than the number of nodes.
+
+        At most ``length``, and smaller exactly when the path crosses
+        a gap — an edge over a gap of ``g`` intervals adds ``g + 1``
+        to the length but is still one edge.
+        """
         return len(self.nodes) - 1
 
     @property
@@ -64,14 +82,25 @@ class Path:
         return self.nodes[-1]
 
     def append(self, node: NodeId, edge_weight: float) -> "Path":
-        """Path extended forward by one edge (paper's ``append``)."""
-        return Path(weight=self.weight + edge_weight,
-                    nodes=self.nodes + (node,))
+        """Path extended forward by one edge (paper's ``append``).
+
+        The receiver is already a valid path, so only the new end is
+        checked, against its neighbour, in O(1): *node* must lie in a
+        later interval than :attr:`end`.  Otherwise the constructor's
+        full validation runs and raises its ``ValueError``.
+        """
+        build = Path.unchecked if node[0] > self.nodes[-1][0] else Path
+        return build(self.weight + edge_weight, self.nodes + (node,))
 
     def prepend(self, node: NodeId, edge_weight: float) -> "Path":
-        """Path extended backward by one edge (DFS builds suffixes)."""
-        return Path(weight=self.weight + edge_weight,
-                    nodes=(node,) + self.nodes)
+        """Path extended backward by one edge (DFS builds suffixes).
+
+        As :meth:`append`, with the O(1) check on the new start:
+        *node* must lie in an earlier interval than :attr:`start`,
+        else ``ValueError``.
+        """
+        build = Path.unchecked if node[0] < self.nodes[0][0] else Path
+        return build(self.weight + edge_weight, (node,) + self.nodes)
 
     def is_suffix_of(self, other: "Path") -> bool:
         """True when this path's nodes are a suffix of *other*'s."""

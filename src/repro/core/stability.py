@@ -18,10 +18,12 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Sequence, Union
 
 from repro.affinity import (
+    SIMJOIN_CUTOFF,
+    TOKEN_SET_MEASURES,
     JoinStats,
     collection_token_sets,
     get_measure,
-    jaccard,
+    joins_exactly,
     threshold_jaccard_join,
 )
 from repro.core.cluster_graph import ClusterGraph, ClusterGraphBuilder
@@ -34,7 +36,7 @@ def build_cluster_graph(interval_clusters: Sequence[Sequence],
                         theta: float = THETA_DEFAULT,
                         gap: int = 0,
                         use_simjoin: Optional[bool] = None,
-                        simjoin_cutoff: int = 2000,
+                        simjoin_cutoff: int = SIMJOIN_CUTOFF,
                         join_stats: Optional[JoinStats] = None
                         ) -> ClusterGraph:
     """Build the cluster graph G (Section 4.1).
@@ -44,16 +46,19 @@ def build_cluster_graph(interval_clusters: Sequence[Sequence],
     from :data:`repro.affinity.AFFINITY_MEASURES` or a callable.
     ``use_simjoin`` forces the prefix-filter join on or off; by default
     it engages for Jaccard affinity when an interval pair's cluster
-    count product exceeds ``simjoin_cutoff``².  Edge weights are
-    normalized to (0, 1] when the measure is unbounded.  ``join_stats``
-    accumulates the two-level filter's candidate/verified counters
-    over every engaged interval-pair join.
+    count product exceeds ``simjoin_cutoff``² — the cutoff the
+    streaming window join uses.  The join is exact only for Jaccard,
+    so forcing it on with another measure raises ``ValueError``, as
+    :func:`~repro.affinity.window_affinity_edges` does.  Edge weights
+    are normalized to (0, 1] when the measure is unbounded.
+    ``join_stats`` accumulates the two-level filter's
+    candidate/verified counters over every engaged interval-pair join.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
     measure = get_measure(affinity) if isinstance(affinity, str) \
         else affinity
-    is_jaccard = measure is jaccard
+    is_jaccard = joins_exactly(measure, use_simjoin)
 
     m = len(interval_clusters)
     if m == 0:
@@ -72,7 +77,7 @@ def build_cluster_graph(interval_clusters: Sequence[Sequence],
                 continue
             engage_join = use_simjoin if use_simjoin is not None else (
                 is_jaccard and len(left) * len(right) > simjoin_cutoff ** 2)
-            if engage_join and is_jaccard:
+            if engage_join:
                 _join_edges(builder, node_ids, i, j, left, right, theta,
                             join_stats)
             else:
@@ -83,6 +88,10 @@ def build_cluster_graph(interval_clusters: Sequence[Sequence],
 
 def _all_pairs_edges(builder, node_ids, i, j, left, right, measure,
                      theta) -> None:
+    if measure in TOKEN_SET_MEASURES:
+        # Resolve the token sets once per interval pair; the measure
+        # would otherwise re-derive them for every cluster pair.
+        left, right = collection_token_sets(left, right)
     for a, cluster_a in enumerate(left):
         for b, cluster_b in enumerate(right):
             weight = measure(cluster_a, cluster_b)

@@ -156,7 +156,8 @@ class TAEngine:
                 for a, b in zip(nodes, nodes[1:]):
                     total += self._edge_weight[(a, b)]
                 self.stats.paths_enumerated += 1
-                self.global_heap.check(Path(weight=total, nodes=nodes))
+                if self.global_heap.admits(total):
+                    self.global_heap.check(Path(weight=total, nodes=nodes))
 
     # ------------------------------------------------------------------
     # Random probes

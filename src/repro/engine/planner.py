@@ -28,7 +28,7 @@ from repro.parallel import resolve_workers
 # only needs to be proportionally right, budgets are advisory).
 PATH_OVERHEAD_BYTES = 96      # Path object + tuple header
 NODE_ID_BYTES = 16            # one (interval, index) entry
-HEAP_OVERHEAD_BYTES = 120     # TopK + list/set headers per heap
+HEAP_OVERHEAD_BYTES = 120     # TopK + list headers per heap
 
 # TA is chosen only when its probe count stays below this bound.
 TA_MAX_PROBES = 2000

@@ -213,11 +213,7 @@ def _decode_value(blob: bytes, pos: int) -> Tuple[Any, int]:
         # Reconstruct without __init__/__post_init__, exactly as
         # pickle does for dataclasses: the record was a valid Path
         # when encoded, so re-validation would only cost time.
-        path_cls = _path_class()
-        path = object.__new__(path_cls)
-        object.__setattr__(path, "weight", weight)
-        object.__setattr__(path, "nodes", tuple(nodes))
-        return path, pos
+        return _path_class().unchecked(weight, tuple(nodes)), pos
     raise ValueError(
         f"unknown compact tag {bytes((tag,))!r} at offset {pos - 1}")
 

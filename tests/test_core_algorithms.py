@@ -20,10 +20,12 @@ from repro.core import (
     ClusterGraph,
     DFSStats,
     bfs_stable_clusters,
+    bruteforce_normalized,
     bruteforce_topk,
     count_paths,
     dfs_stable_clusters,
     enumerate_paths,
+    normalized_stable_clusters,
     ta_stable_clusters,
 )
 from repro.core.online import StreamingStableClusters
@@ -40,7 +42,8 @@ def _dyadic():
 
 
 @st.composite
-def cluster_graphs(draw, max_m=6, max_n=4, max_gap=2):
+def cluster_graphs(draw, max_m=6, max_n=4, max_gap=2, weights=None):
+    weights = weights if weights is not None else _dyadic()
     m = draw(st.integers(min_value=2, max_value=max_m))
     gap = draw(st.integers(min_value=0, max_value=max_gap))
     graph = ClusterGraph(m, gap=gap)
@@ -53,7 +56,7 @@ def cluster_graphs(draw, max_m=6, max_n=4, max_gap=2):
             for a in nodes[i]:
                 for b in nodes[j]:
                     if draw(st.booleans()):
-                        graph.add_edge(a, b, draw(_dyadic()))
+                        graph.add_edge(a, b, draw(weights))
     graph.sort_children_by_weight()
     return graph
 
@@ -198,15 +201,64 @@ class TestDifferential:
     @given(cluster_graphs(), st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=4))
     def test_streaming_matches_offline(self, graph, k, l):
-        stream = StreamingStableClusters(l=l, k=k, gap=graph.gap)
-        for i in range(graph.num_intervals):
-            edges = []
-            for node in graph.nodes_at(i):
-                for parent, weight in graph.parents(node):
-                    edges.append((parent, node[1], weight))
-            stream.add_interval(graph.interval_size(i), edges)
         offline = bfs_stable_clusters(graph, l=l, k=k)
-        assert _as_tuples(stream.top_k()) == _as_tuples(offline)
+        assert _as_tuples(_stream_topk(graph, l, k)) == \
+            _as_tuples(offline)
+
+
+def _stream_topk(graph, l, k):
+    stream = StreamingStableClusters(l=l, k=k, gap=graph.gap)
+    for i in range(graph.num_intervals):
+        stream.add_interval(
+            graph.interval_size(i),
+            [(parent, node[1], weight) for node in graph.nodes_at(i)
+             for parent, weight in graph.parents(node)])
+    return stream.top_k()
+
+
+class TestDifferentialOnTies:
+    """Weights quantised to four values, so most heap decisions are
+    ties on the weight and fall to the node tuple.  The solvers bound
+    a candidate on its weight *before* building it; a candidate equal
+    in weight to a heap's minimum must still be built and compared on
+    nodes, or these answers diverge from the oracle's."""
+
+    graphs = cluster_graphs(
+        max_m=5, weights=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    lengths = st.sampled_from([1, 2, None])  # None: full paths
+    ks = st.sampled_from([1, 3, 5])
+
+    @settings(max_examples=120, deadline=None)
+    @given(graphs, lengths, ks)
+    def test_problem1_solvers_agree_on_weights_and_nodes(
+            self, graph, l, k):
+        full = graph.num_intervals - 1
+        l = full if l is None else l
+        expected = _as_tuples(bruteforce_topk(graph, l=l, k=k))
+        assert _as_tuples(bfs_stable_clusters(graph, l=l, k=k)) == \
+            expected
+        assert _as_tuples(bfs_stable_clusters(
+            graph, l=l, k=k, window_block_nodes=2)) == expected
+        for prune in (True, False):
+            assert _as_tuples(dfs_stable_clusters(
+                graph, l=l, k=k, prune=prune)) == expected
+        if l == full:
+            assert _as_tuples(ta_stable_clusters(graph, k=k)) == \
+                expected
+        assert _as_tuples(_stream_topk(graph, l, k)) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(graphs, st.sampled_from([1, 2]), ks)
+    def test_problem2_matches_bruteforce(self, graph, lmin, k):
+        def ranked(paths):
+            return [(p.stability, p.nodes) for p in paths]
+
+        expected = ranked(bruteforce_normalized(graph, lmin=lmin, k=k))
+        assert ranked(normalized_stable_clusters(
+            graph, lmin=lmin, k=k, exact=True)) == expected
+        # Theorem-1 pruning guarantees the top-1 exactly.
+        assert ranked(normalized_stable_clusters(
+            graph, lmin=lmin, k=1)) == expected[:1]
 
 
 # ----------------------------------------------------------------------

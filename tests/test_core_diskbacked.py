@@ -6,11 +6,15 @@ read per child consideration, one random write per pop.  These tests
 pin the algorithms' disk access patterns using the accounted DiskDict.
 """
 
+import hashlib
+
 from repro.core import (
     DFSStats,
+    Path,
     bfs_stable_clusters,
     dfs_stable_clusters,
 )
+from repro.core.bfs import path_key
 from repro.core.dfs import DFSEngine
 from repro.datagen import synthetic_cluster_graph
 from repro.storage import DiskDict, IOStats
@@ -102,3 +106,29 @@ class TestBFSDiskStore:
             bfs_stable_clusters(graph, l=4, k=3, store=store)
         assert stats.reads == 0
         assert stats.writes == graph.num_nodes
+
+    def test_stored_heaps_stay_best_first_lists(self, tmp_path):
+        """What Algorithm 2 line 17 saves per node is a plain
+        ``{length: [Path, ...]}`` with each list best first — the
+        engine may keep its heaps however it likes, the stored form
+        (pinned here by a digest taken before the hot-loop rewrite)
+        does not move."""
+        graph = synthetic_cluster_graph(m=6, n=5, d=2, g=1, seed=2)
+        with DiskDict(str(tmp_path / "heaps.bin")) as store:
+            bfs_stable_clusters(graph, l=4, k=3, store=store)
+            stored = {node: store[node] for node in store}
+        for heaps in stored.values():
+            assert type(heaps) is dict
+            for length, paths in heaps.items():
+                assert type(paths) is list and 0 < len(paths) <= 3
+                assert all(type(path) is Path and path.length == length
+                           for path in paths)
+                assert paths == sorted(paths, key=path_key,
+                                       reverse=True)
+        canonical = repr(sorted(
+            (node, sorted((length, [(p.weight, p.nodes) for p in paths])
+                          for length, paths in heaps.items()))
+            for node, heaps in stored.items()))
+        assert hashlib.sha256(canonical.encode()).hexdigest() == (
+            "e7f03d6c4184f1947ba45c2f36551fcfdc24f26554ce3928642b26f2b"
+            "2477f40")

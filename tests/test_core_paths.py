@@ -1,10 +1,13 @@
 """Unit tests for Path and TopK primitives."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Path, TopK, edge_path
+from repro.core.bfs import path_key
 
 
 class TestPath:
@@ -78,6 +81,77 @@ class TestPath:
         assert len({p1, p2}) == 1
 
 
+class TestExtensionEqualsConstruction:
+    """``append``/``prepend`` validate only the new end; what they
+    return must be indistinguishable from a constructor-built path."""
+
+    BASE = ((1, 4), (2, 0), (4, 7))
+
+    def _pairs(self):
+        base = Path(weight=0.75, nodes=self.BASE)
+        yield (base.append((5, 2), 0.5),
+               Path(weight=1.25, nodes=self.BASE + ((5, 2),)))
+        yield (base.prepend((0, 9), 0.25),
+               Path(weight=1.0, nodes=((0, 9),) + self.BASE))
+        yield (base.append((6, 1), 0.5).prepend((0, 0), 0.25),
+               Path(weight=1.5,
+                    nodes=((0, 0),) + self.BASE + ((6, 1),)))
+
+    def test_equal_hash_equal_and_order_equal(self):
+        lighter = Path(weight=0.1, nodes=((0, 0), (1, 0)))
+        for extended, built in self._pairs():
+            assert extended == built and built == extended
+            assert hash(extended) == hash(built)
+            assert len({extended, built}) == 1
+            assert not extended < built and not built < extended
+            assert extended <= built and extended >= built
+            assert lighter < extended and extended > lighter
+            assert sorted([extended, lighter]) == [lighter, built]
+            assert repr(extended) == repr(built)
+            assert (extended.length, extended.num_edges) == \
+                (built.length, built.num_edges)
+
+    def test_pickle_round_trip(self):
+        for extended, built in self._pairs():
+            restored = pickle.loads(pickle.dumps(extended))
+            assert restored == built
+            assert hash(restored) == hash(built)
+            assert pickle.dumps(extended) == pickle.dumps(built)
+            # A restored path extends like any other.
+            assert restored.append((9, 0), 0.5).end == (9, 0)
+
+    def test_unchecked_constructor_is_the_same_object_shape(self):
+        built = Path(weight=0.75, nodes=self.BASE)
+        unchecked = Path.unchecked(0.75, self.BASE)
+        assert unchecked == built and hash(unchecked) == hash(built)
+        assert pickle.dumps(unchecked) == pickle.dumps(built)
+
+    def test_stays_frozen(self):
+        extended = edge_path((0, 0), (1, 0), 0.5).append((2, 0), 0.5)
+        with pytest.raises(AttributeError):
+            extended.weight = 2.0
+
+    @pytest.mark.parametrize("node", [(4, 0), (3, 0), (0, 0)])
+    def test_append_rejects_non_increasing_node(self, node):
+        base = Path(weight=0.75, nodes=self.BASE)
+        with pytest.raises(ValueError, match="strictly increase"):
+            base.append(node, 0.5)
+
+    @pytest.mark.parametrize("node", [(1, 0), (2, 0), (9, 0)])
+    def test_prepend_rejects_non_decreasing_node(self, node):
+        base = Path(weight=0.75, nodes=self.BASE)
+        with pytest.raises(ValueError, match="strictly increase"):
+            base.prepend(node, 0.5)
+
+    def test_extension_error_is_the_constructors(self):
+        base = Path(weight=0.75, nodes=self.BASE)
+        with pytest.raises(ValueError) as extended:
+            base.append((4, 1), 0.5)
+        with pytest.raises(ValueError) as built:
+            Path(weight=1.25, nodes=self.BASE + ((4, 1),))
+        assert str(extended.value) == str(built.value)
+
+
 class TestTopK:
     def test_keeps_best_k(self):
         heap = TopK(2)
@@ -140,3 +214,38 @@ class TestTopK:
         heap.extend(values)
         expected = sorted(set(values), reverse=True)[:k]
         assert heap.items() == expected
+
+    def test_admits_is_a_safe_prefilter(self):
+        """``admits(score)`` may only say no to what ``check`` would
+        turn down; a tie on the score must be let through, because
+        the tie-break can still win."""
+        heap = TopK(2, key=path_key)
+        assert heap.admits(-1.0)  # not full: anything can enter
+        heap.extend([edge_path((0, 1), (1, 1), 0.5),
+                     edge_path((0, 2), (1, 2), 0.75)])
+        assert not heap.admits(0.25)
+        assert heap.admits(0.5) and heap.admits(0.6)
+        # Ties the minimum's weight; loses, then wins, on the nodes.
+        assert not heap.check(edge_path((0, 0), (1, 0), 0.5))
+        assert heap.check(edge_path((0, 3), (1, 3), 0.5))
+        assert [p.start for p in heap.items()] == [(0, 2), (0, 3)]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.25, 0.5, 0.75, 1.0]),
+                              st.integers(0, 6), st.integers(0, 6)),
+                    max_size=40),
+           st.integers(min_value=1, max_value=6), st.randoms())
+    def test_retained_set_ignores_offer_order(self, specs, k, rng):
+        """The (weight, nodes) order is strict, so the k retained
+        paths are the k largest offered — in any order, duplicates
+        and weight ties included."""
+        paths = [edge_path((0, a), (1, b), w) for w, a, b in specs]
+        expected = sorted(set(paths), key=path_key, reverse=True)[:k]
+        for _ in range(3):
+            rng.shuffle(paths)
+            heap = TopK(k, key=path_key)
+            retained = [heap.check(path) for path in paths]
+            assert heap.items() == expected
+            assert sum(retained) >= len(expected)
+            assert all(path in heap for path in expected)
+            assert len(heap) == len(expected)

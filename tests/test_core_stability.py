@@ -1,7 +1,10 @@
 """Unit tests for cluster-graph construction (Section 4.1)."""
 
+import random
+
 import pytest
 
+from repro.affinity import JoinStats, dice, window_affinity_edges
 from repro.core.stability import build_cluster_graph
 from repro.graph import KeywordCluster
 
@@ -15,6 +18,33 @@ def clusters_timeline():
          KeywordCluster(frozenset({"x", "y"}))],
         [KeywordCluster(story)],
     ]
+
+
+def drifting_timeline(intervals, per_interval, size=8, pool=600,
+                      seed=14):
+    """Every other cluster continues the previous interval's cluster
+    at its position with one to three keywords replaced; the rest are
+    fresh draws (the end-to-end benchmark's stream shape)."""
+    rng = random.Random(seed)
+    names = [f"kw{rank}" for rank in range(pool)]
+    timeline, previous = [], []
+    for interval in range(intervals):
+        current = []
+        for n in range(per_interval):
+            keywords = rng.sample(names, size)
+            if previous and n % 2 == 0:
+                kept = rng.sample(previous[n], size - rng.randint(1, 3))
+                keywords = (kept + [w for w in keywords
+                                    if w not in kept])[:size]
+            current.append(keywords)
+        previous = current
+        timeline.append([
+            KeywordCluster(frozenset(keywords), interval=interval,
+                           edges=tuple((a, b, 0.5) for a, b in
+                                       zip(sorted(keywords),
+                                           sorted(keywords)[1:])))
+            for keywords in rng.sample(current, len(current))])
+    return timeline
 
 
 class TestBuildClusterGraph:
@@ -75,6 +105,52 @@ class TestBuildClusterGraph:
         plain = build_cluster_graph(timeline, use_simjoin=False)
         joined = build_cluster_graph(timeline, use_simjoin=True)
         assert sorted(plain.edges()) == sorted(joined.edges())
+
+    def test_forced_join_requires_jaccard_like_the_stream(self):
+        """The batch builder used to fall back to all-pairs silently
+        where the window join raises; both raise the same error now."""
+        timeline = clusters_timeline()
+        with pytest.raises(ValueError) as batch:
+            build_cluster_graph(timeline, affinity="dice",
+                                use_simjoin=True)
+        with pytest.raises(ValueError) as stream:
+            window_affinity_edges([([(0, 0), (0, 1)], timeline[0])],
+                                  timeline[1], measure=dice,
+                                  use_simjoin=True)
+        assert str(batch.value) == str(stream.value)
+        assert "jaccard" in str(batch.value)
+        # Unforced, a non-Jaccard measure still compares all pairs.
+        assert build_cluster_graph(timeline, affinity="dice").num_edges
+
+    def test_default_join_equals_allpairs_edge_for_edge(self):
+        """At the shared cutoff a 90-cluster interval pair engages the
+        join by default; the graph must not change by an edge, a
+        weight, or the order parents are listed in."""
+        timeline = drifting_timeline(intervals=14, per_interval=90)
+        stats = JoinStats()
+        default = build_cluster_graph(timeline, gap=1, join_stats=stats)
+        plain = build_cluster_graph(timeline, gap=1, use_simjoin=False)
+        assert default.num_edges == plain.num_edges > 0
+        for node in plain.nodes():
+            assert default.parents(node) == plain.parents(node)
+            assert default.children(node) == plain.children(node)
+        assert stats.candidate_pairs >= stats.verified_pairs > 0
+        assert stats.result_pairs >= default.num_edges
+
+    def test_allpairs_token_set_hoist_keeps_weights(self):
+        """The all-pairs loop resolves token sets once per interval
+        pair for the set-overlap measures; weights are the measure's
+        own, cluster by cluster."""
+        from repro.affinity import get_measure
+        timeline = drifting_timeline(intervals=3, per_interval=12)
+        for name in ("jaccard", "dice", "overlap", "weighted_jaccard"):
+            measure = get_measure(name)
+            graph = build_cluster_graph(timeline, affinity=name,
+                                        use_simjoin=False)
+            assert graph.num_edges > 0
+            for parent, child, weight in graph.edges():
+                assert weight == measure(graph.payload(parent),
+                                         graph.payload(child))
 
     def test_empty_interval_allowed(self):
         timeline = clusters_timeline()
