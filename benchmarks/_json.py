@@ -16,6 +16,12 @@ Consumers (trajectory plots, regression diffing) key on ``format`` /
 ``version`` before reading ``results``; bumping ``BENCH_VERSION``
 is the one place to declare a breaking envelope change.
 
+A harness whose artifact keeps a before/after pair stores each run
+as a named row under ``results["rows"]`` (``--row before`` with
+``PYTHONPATH`` at the older checkout): :func:`load_bench_rows` hands
+back the rows already on disk so a rerun replaces one and keeps the
+others.
+
 (The module name shadows CPython's private ``_json`` accelerator
 when a benchmark runs standalone from this directory; the stdlib
 ``json`` package detects that and falls back to its pure-Python
@@ -25,6 +31,7 @@ scanner, which is fine at artifact-writing volume.)
 from __future__ import annotations
 
 import json
+import os
 from typing import Any, Dict
 
 BENCH_FORMAT = "repro-bench"
@@ -49,3 +56,11 @@ def write_bench_json(path: str, area: str,
         json.dump(bench_envelope(area, results), handle,
                   indent=2, sort_keys=True)
         handle.write("\n")
+
+
+def load_bench_rows(path: str) -> Dict[str, Any]:
+    """The named rows the artifact at *path* already holds."""
+    if not os.path.exists(path):
+        return {}
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)["results"].get("rows", {})

@@ -17,9 +17,11 @@ gate:
   keyword, single-flight coalescing must cut index reads by
   ``REDUCTION_FLOOR`` vs the unbatched server (warning-only under
   CI, where thread scheduling is too coarse to promise overlap);
-* **trajectory** — ``--json PATH`` writes the headline figures as
-  the repo-root ``BENCH_serving.json`` artifact (shared envelope
-  from :mod:`_json`) that ``make bench-json`` versions.
+* **trajectory** — ``--json PATH`` stores the headline figures as
+  a row of the repo-root ``BENCH_serving.json`` artifact (shared
+  envelope from :mod:`_json`) that ``make bench-json`` versions;
+  ``--row before`` with ``PYTHONPATH`` at an earlier checkout's
+  ``src`` records that commit's curve beside the ``after`` row.
 
 Runs under pytest alongside the paper benchmarks and standalone::
 
@@ -92,15 +94,22 @@ def build_hammer_index(directory: str, num_clusters: int,
                        pool: int = 400, seed: int = 3) -> None:
     """An index where refining ``kw0`` is genuinely expensive.
 
-    Every cluster contains ``kw0``, so one uncached refine scans
-    the whole postings list and decodes every cluster off disk —
+    Every cluster contains ``kw0`` and the last one is the union of
+    all the others, so one uncached refine walks the whole postings
+    list and decodes the one large winning record off disk —
     milliseconds of real read work per request, the regime where
-    single-flight coalescing pays."""
+    single-flight coalescing pays.  (The reader ranks candidates by
+    their stored sizes and decodes only the winner, so many small
+    candidates alone no longer make a read slow.)"""
     rng = random.Random(seed)
     names = [f"kw{rank}" for rank in range(pool)]
+    members = [sorted(set(["kw0"] + rng.sample(names[1:], 12)))
+               for _ in range(num_clusters)]
+    members.append(sorted(
+        {f"{keyword}c{n}" for n, keywords in enumerate(members)
+         for keyword in keywords} | {"kw0"}))
     clusters = []
-    for _ in range(num_clusters):
-        keywords = sorted(set(["kw0"] + rng.sample(names[1:], 12)))
+    for keywords in members:
         edges = tuple((keywords[i], keywords[i + 1],
                        round(rng.uniform(0.2, 0.9), 3))
                       for i in range(len(keywords) - 1))
@@ -275,8 +284,9 @@ def _hammer_one_keyword(directory: str, batching: bool,
     """64-clients-one-keyword phase; returns the server counters.
 
     Both caches are disabled, so every non-coalesced request pays
-    the full index read (postings scan + cluster decodes off disk)
-    — the expensive work single-flight exists to dedup."""
+    the full index read (postings walk + the winning cluster's
+    decode off disk) — the expensive work single-flight exists to
+    dedup."""
     with ClusterServer(directory, cache_size=0,
                        cluster_cache_size=0, max_inflight=128,
                        batching=batching).start() as server:
@@ -428,8 +438,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="small shapes for CI smoke runs")
     parser.add_argument("--json", metavar="PATH",
-                        help="write the perf-trajectory figures as "
-                             "JSON (the BENCH_serving.json artifact)")
+                        help="store the perf-trajectory figures as "
+                             "a row of PATH (the BENCH_serving.json "
+                             "artifact)")
+    parser.add_argument("--row", default="after",
+                        help="name of the row this run is stored "
+                             "under (default: after)")
     args = parser.parse_args(argv)
     rows: List[str] = []
 
@@ -442,9 +456,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(row)
     outcome = _assert_reduction(results)
     if args.json:
-        from _json import write_bench_json
-        write_bench_json(args.json, "serving", results)
-        print(f"wrote {args.json}")
+        from _json import load_bench_rows, write_bench_json
+        rows = load_bench_rows(args.json)
+        rows[args.row] = results
+        write_bench_json(args.json, "serving", {"rows": rows})
+        print(f"wrote {args.json} (row {args.row!r})")
     top = results["latency_curve"][-1]
     print(f"serving load benchmark: answers identical, "
           f"reduction floor {outcome}, "

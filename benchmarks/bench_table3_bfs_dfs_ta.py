@@ -32,7 +32,6 @@ checkout's ``src``) stays beside the current one::
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import time
@@ -167,11 +166,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"  m={m}: {cell['seconds']:.4f}s"
             for m, cell in cells.items()))
     if args.json:
-        from _json import write_bench_json
-        rows = {}
-        if os.path.exists(args.json):
-            with open(args.json, encoding="utf-8") as handle:
-                rows = json.load(handle)["results"]["rows"]
+        from _json import load_bench_rows, write_bench_json
+        rows = load_bench_rows(args.json)
         rows[args.row] = row
         write_bench_json(args.json, "solvers", {
             "workload": {"n": N, "d": D, "g": G, "k": K, "m": MS,

@@ -26,24 +26,21 @@ import time
 from repro.distributed.partition import detach_cluster
 from repro.index.format import shard_for
 from repro.index.reader import ClusterIndexReader
-from repro.search.refinement import prefer_larger
+from repro.text.stemmer import stem
 
 
 def _shard_best(reader, keyword, interval, shard, num_shards):
-    """This partition's best candidate for a refine/lookup query."""
-    best = None
-    best_node = None
-    for node in reader.postings_for(keyword):
-        if node[0] != interval:
-            continue
-        if shard_for(node[0], node[1], num_shards) != shard:
-            continue
-        chosen = prefer_larger(best, reader.cluster(node))
-        if chosen is not best:
-            best, best_node = chosen, node
-    if best is None:
+    """This partition's best candidate for a refine/lookup query.
+
+    The reader's own rule, restricted to the nodes this partition
+    owns — in-process and scatter-gather rank candidates in one
+    place."""
+    node = reader.best_node(
+        stem(keyword.lower()), interval,
+        lambda node: shard_for(node[0], node[1], num_shards) == shard)
+    if node is None:
         return None
-    return (best_node, detach_cluster(best))
+    return (node, detach_cluster(reader.cluster(node)))
 
 
 def _shard_paths_for(reader, keyword, shard, num_shards):

@@ -2,10 +2,12 @@
 
 :class:`ClusterIndexReader` rebuilds its lookup state — the token
 table, the keyword -> (interval, cluster) postings, the per-node
-record offsets, and the current top-k paths — by scanning each
-segment's logs once on open, then serves point lookups with one
+record offsets and sizes, and the current top-k paths — by scanning
+each segment's logs once on open, then serves point lookups with one
 random read per cluster (LRU-cached, zero-copy when the logs are
-memory-mapped), never touching the source documents.
+memory-mapped), never touching the source documents.  A keyword
+lookup picks its cluster among the interval's candidates by the sizes
+kept from that scan and reads only the winner.
 
 A reader over a *live* index (a streaming run still appending) can
 :meth:`refresh` to tail the growth: each segment remembers its
@@ -30,8 +32,10 @@ from __future__ import annotations
 
 import os
 import threading
+from bisect import bisect_left
 from typing import (
     Any,
+    Callable,
     Dict,
     Iterable,
     Iterator,
@@ -51,7 +55,7 @@ from repro.index.format import (
     segment_dir,
     shard_file,
 )
-from repro.search.refinement import QueryRefiner, prefer_larger
+from repro.search.refinement import QueryRefiner
 from repro.storage.codec import decode_record
 from repro.storage.lru import LRUCache
 from repro.storage.recordlog import (
@@ -61,8 +65,10 @@ from repro.storage.recordlog import (
 from repro.text.stemmer import stem
 from repro.vocab import Vocabulary
 
-# A cluster record's address: (segment name, file, offset, length).
-_NodeRef = Tuple[str, str, int, int]
+# A cluster record's address and token count: (segment name, file,
+# offset, length, size).  The size is read off the decoded record at
+# scan time, so ranking an interval's candidates needs no read.
+_NodeRef = Tuple[str, str, int, int, int]
 
 
 class _SegmentView:
@@ -273,14 +279,15 @@ class ClusterIndexReader:
         touched = set()
         for payload, end in self._scan_frames(view, name, limit):
             try:
-                interval, idx = decode_record(payload)[:2]
-            except (ValueError, IndexError) as exc:
+                interval, idx, _, tokens, _ = decode_record(payload)
+                size = len(tokens)
+            except (ValueError, IndexError, TypeError) as exc:
                 raise IndexCorruptError(
                     f"corrupt record in {name!r} of segment "
                     f"{view.name!r}: {exc}") from None
             node = (interval, idx)
-            self._nodes[node] = (view.name, name,
-                                 end - len(payload), len(payload))
+            self._nodes[node] = (view.name, name, end - len(payload),
+                                 len(payload), size)
             self._per_interval.setdefault(interval, []).append(node)
             touched.add(interval)
         for interval in touched:
@@ -440,7 +447,7 @@ class ClusterIndexReader:
                     for shard in range(num_shards)}
         records = [0] * num_shards
         sizes = [0] * num_shards
-        for _, name, _, _ in self._nodes.values():
+        for _, name, _, _, _ in self._nodes.values():
             records[shard_of[name]] += 1
         for meta in self._manifest["segments"]:
             for name, size in meta["files"].items():
@@ -510,11 +517,13 @@ class ClusterIndexReader:
         """The cluster behind one ``(interval, index)`` node.
 
         Costs one LRU-cached random read (zero-copy off the mmap
-        when available); raises KeyError for unknown nodes."""
+        when available); raises KeyError for unknown nodes.  A
+        keyword :meth:`lookup` costs exactly one such read, for the
+        winner :meth:`best_node` picked."""
         cached = self._cache.get(node)
         if cached is not None:
             return cached
-        seg_name, name, offset, length = self._nodes[node]
+        seg_name, name, offset, length, _ = self._nodes[node]
         view = self._views[seg_name]
         blob = view.log(name).pread(offset, length)
         try:
@@ -563,17 +572,43 @@ class ClusterIndexReader:
         return token if self._vocab is None \
             else self._vocab.decode(token)
 
-    def _best_cluster(self, query_stem: str,
-                      interval: int) -> Optional[KeywordCluster]:
-        """The refinement rule over the postings of one interval."""
+    def best_node(self, query_stem: str, interval: int,
+                  owned: Optional[Callable[[NodeId], bool]] = None
+                  ) -> Optional[NodeId]:
+        """The node the refinement rule assigns *query_stem* to.
+
+        :func:`~repro.search.refinement.prefer_larger` applied to an
+        index: among the clusters of *interval* that contain the
+        (already stemmed) keyword, the strictly larger one wins and
+        ties keep the earlier.  Candidates are ranked by the sizes
+        the open/refresh scan kept, so no record is read here.  A
+        postings list is in interval order (the scan rejects a
+        postings record out of interval order), so the interval's
+        run is found by bisection and walked in stored —
+        cluster-list — order.  *owned* restricts the candidates to
+        the nodes it accepts: a scatter-gather partition's share."""
         token = self._resolve(query_stem)
         if token is None:
             return None
-        best: Optional[KeywordCluster] = None
-        for node in self._postings.get(token, ()):
-            if node[0] == interval:
-                best = prefer_larger(best, self.cluster(node))
+        postings = self._postings.get(token, ())
+        best: Optional[NodeId] = None
+        best_size = -1
+        for at in range(bisect_left(postings, (interval,)),
+                        len(postings)):
+            node = postings[at]
+            if node[0] != interval:
+                break
+            if owned is not None and not owned(node):
+                continue
+            size = self._nodes[node][4]
+            if size > best_size:
+                best, best_size = node, size
         return best
+
+    def _best_cluster(self, query_stem: str,
+                      interval: int) -> Optional[KeywordCluster]:
+        node = self.best_node(query_stem, interval)
+        return None if node is None else self.cluster(node)
 
     def _latest(self, interval: Optional[int]) -> int:
         if interval is not None:

@@ -41,9 +41,12 @@ from __future__ import annotations
 
 import json
 import threading
+import time
+from email.utils import formatdate
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple, Union
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from repro.engine.planner import split_serving_budget
 from repro.search.refinement import render_refinement
@@ -56,6 +59,11 @@ DEFAULT_REFRESH_SECONDS = 0.5
 RETRY_AFTER_SECONDS = 1
 
 ROUTES = ("/refine", "/lookup", "/paths", "/stats")
+
+# The stdlib's bounds on one header line and on the header count
+# (http.client._MAXLINE / _MAXHEADERS), kept for the hand parser.
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +154,31 @@ def paths_payload(service: ClusterQueryService,
 # ----------------------------------------------------------------------
 
 
+def split_target(target: str) -> Tuple[str, Dict[str, str]]:
+    """A request target as ``(route, params)``.
+
+    What ``urlsplit`` + ``parse_qs`` gave the handler — the path
+    without a trailing slash; ``%xx`` and ``+`` decoded, blank values
+    dropped, the last value of a repeated name winning — without
+    building their intermediate objects.  An origin-form target
+    (``/path?query``) has no scheme, authority or fragment for
+    ``urlsplit`` to find, so it is split at the first ``?``; any
+    other form still goes through ``urlsplit``."""
+    if target.startswith("/") and not target.startswith("//") \
+            and "#" not in target:
+        path, _, query = target.partition("?")
+    else:
+        parsed = urlsplit(target)
+        path, query = parsed.path, parsed.query
+    params = {}
+    for field in query.split("&"):
+        name, _, value = field.partition("=")
+        if value:
+            params[unquote(name.replace("+", " "))] = \
+                unquote(value.replace("+", " "))
+    return path.rstrip("/") or "/", params
+
+
 class _ThreadingServer(ThreadingHTTPServer):
     """ThreadingHTTPServer wired back to its ClusterServer."""
 
@@ -156,18 +189,36 @@ class _ThreadingServer(ThreadingHTTPServer):
     # SYN retransmits for whole seconds.
     request_queue_size = 128
     cluster_server: "ClusterServer"
+    # (second, its HTTP date), shared by all connections.
+    _date: Tuple[int, str] = (0, "")
+
+    def http_date(self) -> str:
+        """The ``Date:`` header value, formatted once per second."""
+        now = int(time.time())
+        second, text = self._date
+        if second != now:
+            text = formatdate(now, usegmt=True)
+            self._date = (now, text)
+        return text
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """One GET request: admit, dispatch, answer JSON."""
+    """One GET request: admit, dispatch, answer JSON.
+
+    The request line and headers of a well-formed ``GET target
+    HTTP/1.0|1.1`` are read by hand and the answer leaves as one
+    write; every other request line takes the stdlib's
+    ``parse_request``, so its 400/501/505 answers stay the
+    stdlib's."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serving/1"
-    # Buffer the response so headers + body leave in one send, and
-    # disable Nagle so that send is not held for the client's
-    # delayed ACK — otherwise every keep-alive request stalls ~40ms
-    # on the Nagle/delayed-ACK interaction.
-    wbufsize = -1
+    # Unbuffered: an answer is one write of status line + headers +
+    # body, so a vanished client fails that write, where it is
+    # caught.  Nagle is disabled so the write is not held for the
+    # client's delayed ACK — otherwise every keep-alive request
+    # stalls ~40ms on the Nagle/delayed-ACK interaction.
+    wbufsize = 0
     disable_nagle_algorithm = True
 
     # Quiet by default: the load benchmark would otherwise spray one
@@ -175,25 +226,83 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:
         """Suppress per-request stderr logging."""
 
+    def handle_one_request(self) -> None:
+        """One request; a client that went away ends the connection
+        quietly and is counted, not reported as a server error."""
+        try:
+            super().handle_one_request()
+        except ConnectionError:
+            self.close_connection = True
+            self.server.cluster_server._count(  # type: ignore
+                "disconnects")
+
+    def parse_request(self) -> bool:
+        """Parse the request line and headers of ``self.raw_requestline``.
+
+        Honours what a GET needs of the headers: ``Connection:
+        close|keep-alive`` (the first such header; an HTTP/1.0
+        request closes unless it asks to keep alive) and the
+        stdlib's bounds on header line length and count (431).  A
+        GET carries no body, so ``Expect`` is not answered, and
+        folded or colon-less header lines are skipped."""
+        requestline = str(self.raw_requestline, "iso-8859-1")
+        words = requestline.split()
+        if len(words) != 3 or words[0] != "GET" \
+                or words[2] not in ("HTTP/1.1", "HTTP/1.0"):
+            return super().parse_request()
+        self.command, path, self.request_version = words
+        if path.startswith("//"):  # as the stdlib: not an authority
+            path = "/" + path.lstrip("/")
+        self.path = path
+        self.requestline = requestline.rstrip("\r\n")
+        close = words[2] == "HTTP/1.0"
+        connection = None
+        readline = self.rfile.readline
+        for _ in range(MAX_HEADERS):
+            line = readline(MAX_HEADER_LINE + 1)
+            if len(line) > MAX_HEADER_LINE:
+                self.send_error(
+                    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                    "Line too long",
+                    f"got more than {MAX_HEADER_LINE} bytes when "
+                    f"reading header line")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                if connection == b"close":
+                    close = True
+                elif connection == b"keep-alive":
+                    close = False
+                self.close_connection = close
+                return True
+            if connection is None \
+                    and line[:11].lower() == b"connection:":
+                connection = line[11:].strip().lower()
+        self.send_error(
+            HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+            "Too many headers",
+            f"got more than {MAX_HEADERS} headers")
+        return False
+
     def _respond(self, status: int, payload: Dict[str, Any],
                  retry_after: Optional[int] = None) -> None:
         body = encode_payload(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", str(retry_after))
-        self.end_headers()
-        try:
+        if self.request_version == "HTTP/0.9":  # no status, no headers
             self.wfile.write(body)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-answer
+            return
+        date = self.server.http_date()  # type: ignore[attr-defined]
+        head = (f"HTTP/1.1 {status} {self.responses[status][0]}\r\n"
+                f"Server: {self.version_string()}\r\n"
+                f"Date: {date}\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(body)}\r\n")
+        if retry_after is not None:
+            head += f"Retry-After: {retry_after}\r\n"
+        self.wfile.write((head + "\r\n").encode("latin-1") + body)
 
     def do_GET(self) -> None:
         """Route one request through admission to its endpoint."""
         server = self.server.cluster_server  # type: ignore[attr-defined]
-        parsed = urlsplit(self.path)
-        route = parsed.path.rstrip("/") or "/"
+        route, params = split_target(self.path)
         if route not in ROUTES:
             self._respond(404, {"error": f"no such endpoint: {route}",
                                 "endpoints": list(ROUTES)})
@@ -207,14 +316,13 @@ class _Handler(BaseHTTPRequestHandler):
                 retry_after=RETRY_AFTER_SECONDS)
             return
         try:
-            params = {key: values[-1] for key, values
-                      in parse_qs(parsed.query).items()}
-            status, payload = server.answer(route, params)
+            try:
+                status, payload = server.answer(route, params)
+            except Exception as exc:  # noqa: BLE001 — serve, don't die
+                server._count("errors")
+                status, payload = 500, {
+                    "error": f"{type(exc).__name__}: {exc}"}
             self._respond(status, payload)
-        except Exception as exc:  # noqa: BLE001 — serve, don't die
-            server._count("errors")
-            self._respond(500, {"error": f"{type(exc).__name__}: "
-                                         f"{exc}"})
         finally:
             server._release()
 
@@ -269,7 +377,8 @@ class ClusterServer:
         self.refresh_seconds = refresh_seconds
         self._inflight = threading.Semaphore(admit)
         self._counters = {"requests": 0, "rejected": 0, "errors": 0,
-                          "index_reads": 0, "refreshes": 0}
+                          "index_reads": 0, "refreshes": 0,
+                          "disconnects": 0}
         self._counter_lock = threading.Lock()
         self._httpd: Optional[_ThreadingServer] = None
         self._serve_thread: Optional[threading.Thread] = None
@@ -384,7 +493,8 @@ class ClusterServer:
 
         Query endpoints go through single-flight batching when
         enabled; parameter problems (missing keyword, non-integer
-        interval, an empty live index) come back as 400 payloads."""
+        interval, negative ``top``, an empty live index) come back
+        as 400 payloads."""
         try:
             if route == "/stats":
                 return 200, self.stats_payload()
@@ -400,6 +510,12 @@ class ClusterServer:
                                       f"keyword= parameter"}
             if route == "/refine":
                 top = self._int_param(params, "top", DEFAULT_TOP)
+                if top < 0:
+                    # A negative slice bound would silently drop
+                    # suggestions from the end instead.
+                    raise ValueError(
+                        f"top= must be a non-negative integer, got "
+                        f"{params['top']!r}")
                 key = ("refine", keyword, interval, top)
                 return 200, self._read(
                     key, lambda: refine_payload(

@@ -6,15 +6,19 @@ StateStore backend); a streamed index reopens and appends across
 process restarts with its vocabulary deltas reused; crashes mid-flush
 and mid-merge leave a consistent, recoverable segment set; a tailing
 reader scans only the bytes a writer appended since the last poll;
-and the mmap read path gives the same answers as buffered reads.
+the mmap read path gives the same answers as buffered reads; and the
+keyword -> cluster rule applied to the index (ranked by stored sizes,
+one record read) picks what the in-memory rule picks.
 """
 
 import os
+import random
 import shutil
 
 import pytest
 
 from repro.cli import main
+from repro.distributed import DistributedQueryService
 from repro.graph.clusters import KeywordCluster
 from repro.index import (
     ClusterIndexError,
@@ -27,7 +31,9 @@ from repro.index import (
 )
 from repro.index.format import segment_dir, segments_root
 from repro.pipeline import find_stable_clusters
+from repro.search.refinement import ListClusterSource, QueryRefiner
 from repro.service import ClusterQueryService
+from repro.serving import encode_payload, lookup_payload, refine_payload
 from repro.storage import open_store
 from repro.storage.recordlog import (
     RecordLogReader,
@@ -563,3 +569,120 @@ class TestServiceStats:
         out = capsys.readouterr().out
         assert "segments: 10" in out
         assert "merge rewrite expected" in out
+
+
+def _overlapping_clusters(seed, intervals=6, hubs=4):
+    """Intervals whose hub keywords sit in 1-12 clusters each.
+
+    Clusters carry one or two hubs plus 1-3 private keywords, so
+    most of a hub's candidates tie on size and the winner is decided
+    by cluster-list order.  Every keyword is its own stem."""
+    rng = random.Random(seed)
+    stream = []
+    for interval in range(intervals):
+        clusters = []
+        for hub in range(hubs):
+            for c in range(rng.randint(1, 12)):
+                keywords = [f"hub{hub}"] + [
+                    f"p{interval}h{hub}c{c}k{k}"
+                    for k in range(rng.randint(1, 3))]
+                if rng.random() < 0.3:
+                    keywords.append(f"hub{rng.randrange(hubs)}")
+                keywords = sorted(set(keywords))
+                edges = tuple(
+                    (u, v, round(rng.uniform(0.2, 0.9), 3))
+                    for u, v in zip(keywords, keywords[1:]))
+                clusters.append(KeywordCluster(
+                    frozenset(keywords), edges=edges,
+                    interval=interval))
+        rng.shuffle(clusters)
+        stream.append(clusters)
+    return stream
+
+
+def _assert_rule_matches(reader, stream):
+    """Every (interval, keyword) of *stream* answers from *reader*
+    as the in-memory rule does, reading one cluster per query."""
+    for interval, clusters in enumerate(stream):
+        source = ListClusterSource(clusters)
+        in_memory = QueryRefiner(clusters)
+        indexed = reader.refiner(interval, cache_size=0)
+        for keyword in sorted(set(source.stems()) | {"absent"}):
+            expected = source.best_cluster(keyword)
+            hits, misses, _, _ = reader.cache_info()
+            assert reader.lookup(keyword, interval) == expected
+            after_hits, after_misses, _, _ = reader.cache_info()
+            assert (after_hits - hits) + (after_misses - misses) \
+                == (expected is not None), (interval, keyword)
+            assert indexed.refine(keyword) == \
+                in_memory.refine(keyword)
+
+
+class TestRefinementRuleDifferential:
+    """``prefer_larger`` over an index (sizes kept from the scan,
+    only the winner decoded) against ``ListClusterSource`` over the
+    same clusters in memory."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("token_kind", ["str", "id"])
+    def test_live_refreshed_and_merged(self, tmp_path, seed,
+                                       token_kind):
+        index_dir = str(tmp_path / "index")
+        stream = _overlapping_clusters(seed)
+        vocab = Vocabulary() if token_kind == "id" else None
+        writer = ClusterIndexWriter(index_dir, vocab=vocab,
+                                    flush_intervals=2)
+        for clusters in stream[:4]:
+            writer.append_interval(clusters)
+        with ClusterIndexReader(index_dir) as reader:
+            assert reader.token_kind == token_kind
+            assert reader.num_segments == 2
+            _assert_rule_matches(reader, stream[:4])
+            for clusters in stream[4:]:
+                writer.append_interval(clusters)
+            writer.set_paths([])
+            assert reader.refresh()  # tails the live index
+            _assert_rule_matches(reader, stream)
+            writer.finalize()
+            compact_index(index_dir, full=True)
+            assert reader.refresh()  # structural rebuild
+            assert reader.num_segments == 1
+            _assert_rule_matches(reader, stream)
+        with ClusterIndexReader(index_dir) as reopened:
+            _assert_rule_matches(reopened, stream)
+
+    def test_cold_query_reads_only_the_winner(self, tmp_path):
+        """A keyword shared by several clusters of the interval costs
+        one record read, not one per candidate."""
+        index_dir = str(tmp_path / "index")
+        stream = _overlapping_clusters(7)
+        ClusterIndexWriter.write_run(index_dir, stream, [],
+                                     flush_intervals=2)
+        asked = 0
+        with ClusterIndexReader(index_dir) as reader:
+            for interval, clusters in enumerate(stream):
+                candidates = [c for c in clusters
+                              if "hub0" in c.keywords]
+                if len(candidates) < 2:
+                    continue
+                asked += 1
+                assert reader.lookup("hub0", interval) is not None
+                assert reader.cache_info()[:2] == (0, asked)
+        assert asked
+
+    def test_two_shards_agree_with_in_process(self, tmp_path):
+        index_dir = str(tmp_path / "index")
+        stream = _overlapping_clusters(11, intervals=3)
+        ClusterIndexWriter.write_run(index_dir, stream, [],
+                                     flush_intervals=2)
+        with ClusterQueryService(index_dir) as service, \
+                DistributedQueryService(index_dir,
+                                        workers=2) as coordinator:
+            for interval, clusters in enumerate(stream):
+                for keyword in sorted(
+                        ListClusterSource(clusters).stems()):
+                    for build in (lookup_payload, refine_payload):
+                        assert encode_payload(build(
+                            coordinator, keyword, interval)) == \
+                            encode_payload(build(
+                                service, keyword, interval))

@@ -5,18 +5,25 @@ the in-process :class:`~repro.service.ClusterQueryService` payload —
 pinned here across both paper problems and against a live streamed
 index — plus the serving machinery itself: single-flight batching,
 admission control (429 + Retry-After), the read-write lock, error
-paths, and the CLI ``serve`` subcommand end to end.
+paths, the hand-written request parser's wire behaviour on raw
+sockets, and the CLI ``serve`` subcommand end to end.
 """
 
+import email.utils
 import http.client
 import json
 import re
+import socket
+import struct
 import subprocess
 import sys
 import threading
 import time
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.pipeline import find_stable_clusters
 from repro.service import ClusterQueryService
@@ -29,6 +36,7 @@ from repro.serving import (
     paths_payload,
     refine_payload,
 )
+from repro.serving.server import split_target
 from repro.streaming import StreamingDocumentPipeline
 from repro.text.documents import Document, IntervalCorpus
 
@@ -323,6 +331,24 @@ class TestHttpErrors:
             assert status == 400
             assert "integer" in json.loads(body)["error"]
 
+    def test_negative_top_400(self, built_index):
+        """A negative ``top`` used to slice suggestions off the end
+        (``top=-100``: none left, status 200)."""
+        with ClusterServer(built_index).start() as server, \
+                ClusterQueryService(built_index) as service:
+            for top in ("-1", "-100"):
+                status, body, _ = _get(
+                    server.url, f"/refine?keyword=beckham&top={top}")
+                assert status == 400
+                assert json.loads(body)["error"] == (
+                    f"top= must be a non-negative integer, "
+                    f"got {top!r}")
+            status, body, _ = _get(
+                server.url, "/refine?keyword=beckham&top=0")
+            assert status == 200
+            assert body == encode_payload(
+                refine_payload(service, "beckham", None, 0))
+
     def test_empty_live_index_400(self, tmp_path):
         index_dir = str(tmp_path / "live")
         pipeline = StreamingDocumentPipeline(l=1, k=2,
@@ -397,6 +423,267 @@ class TestAdmissionControl:
     def test_max_inflight_must_be_positive(self, built_index):
         with pytest.raises(ValueError, match="max_inflight"):
             ClusterServer(built_index, max_inflight=0)
+
+
+# ----------------------------------------------------------------------
+# The hand-written request parser, on raw sockets
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture(scope="class")
+def served(tmp_path_factory):
+    """One started server and an in-process service on its index."""
+    index_dir = str(tmp_path_factory.mktemp("wire") / "index")
+    find_stable_clusters(_corpus(), l=2, k=3, gap=1,
+                         index_dir=index_dir)
+    with ClusterServer(index_dir).start() as server, \
+            ClusterQueryService(index_dir) as service:
+        yield server, service
+
+
+def _connect(server):
+    sock = socket.create_connection((server.host, server.port),
+                                    timeout=30)
+    return sock, sock.makefile("rb")
+
+
+def _read_response(stream):
+    """One response off *stream*: (status line, header pairs, body).
+
+    Asserts the framing on the way: exactly one ``Content-Length``,
+    and the body is that many bytes."""
+    status_line = stream.readline()
+    headers = []
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers.append((name, value.strip()))
+    length = [int(v) for n, v in headers if n == "Content-Length"]
+    assert len(length) == 1, headers
+    return status_line, headers, stream.read(length[0])
+
+
+def _exchange(server, request):
+    """Send *request* on a fresh connection; return the one answer
+    and whether the server closed the connection after it."""
+    sock, stream = _connect(server)
+    try:
+        sock.sendall(request)
+        status_line, headers, body = _read_response(stream)
+        sock.settimeout(0.3)
+        try:
+            closed = stream.read(1) == b""
+        except (TimeoutError, ConnectionError):
+            closed = False
+        return status_line, headers, body, closed
+    finally:
+        stream.close()
+        sock.close()
+
+
+def _drain(server, request):
+    """Send *request*, half-close, and read to the server's close."""
+    sock, stream = _connect(server)
+    try:
+        sock.sendall(request)
+        sock.shutdown(socket.SHUT_WR)
+        return stream.read()
+    finally:
+        stream.close()
+        sock.close()
+
+
+class TestWireConformance:
+    def test_keep_alive_reuse_and_response_shape(self, served):
+        server, service = served
+        sock, stream = _connect(server)
+        try:
+            for target, expected in (
+                    ("/refine?keyword=beckham&interval=0&top=2",
+                     refine_payload(service, "beckham", 0, 2)),
+                    ("/lookup?keyword=madrid&interval=1",
+                     lookup_payload(service, "madrid", 1)),
+                    ("/paths?keyword=beckham",
+                     paths_payload(service, "beckham")),
+                    ("/paths/", paths_payload(service))):
+                sock.sendall(f"GET {target} HTTP/1.1\r\n"
+                             f"Host: t\r\n\r\n".encode("ascii"))
+                status_line, headers, body = _read_response(stream)
+                assert status_line == b"HTTP/1.1 200 OK\r\n"
+                assert [name for name, _ in headers] == [
+                    "Server", "Date", "Content-Type",
+                    "Content-Length"]
+                assert dict(headers)["Content-Type"] == \
+                    "application/json"
+                assert dict(headers)["Server"].startswith(
+                    "repro-serving/1 Python/")
+                sent = email.utils.parsedate_to_datetime(
+                    dict(headers)["Date"]).timestamp()
+                assert abs(sent - time.time()) < 5
+                assert body == encode_payload(expected), target
+        finally:
+            stream.close()
+            sock.close()
+
+    def test_two_pipelined_requests_in_one_send(self, served):
+        server, service = served
+        sock, stream = _connect(server)
+        try:
+            sock.sendall(
+                b"GET /refine?keyword=beckham HTTP/1.1\r\n\r\n"
+                b"GET /lookup?keyword=madrid HTTP/1.1\r\n"
+                b"Host: t\r\nAccept: */*\r\n\r\n")
+            _, _, first = _read_response(stream)
+            _, _, second = _read_response(stream)
+        finally:
+            stream.close()
+            sock.close()
+        assert first == encode_payload(
+            refine_payload(service, "beckham"))
+        assert second == encode_payload(
+            lookup_payload(service, "madrid"))
+
+    @pytest.mark.parametrize("request_head, closes", [
+        (b"GET /paths HTTP/1.1\r\n\r\n", False),
+        (b"GET /paths HTTP/1.1\r\nConnection: close\r\n\r\n", True),
+        (b"GET /paths HTTP/1.1\r\nconnection:  Close \r\n\r\n", True),
+        (b"GET /paths HTTP/1.1\r\nConnection: close\r\n"
+         b"Connection: keep-alive\r\n\r\n", True),
+        (b"GET /paths HTTP/1.0\r\n\r\n", True),
+        (b"GET /paths HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+         False),
+        (b"GET /paths HTTP/1.1\n\n", False),
+    ])
+    def test_connection_persistence(self, served, request_head,
+                                    closes):
+        server, service = served
+        status_line, _, body, closed = _exchange(server,
+                                                 request_head)
+        assert status_line == b"HTTP/1.1 200 OK\r\n"
+        assert body == encode_payload(paths_payload(service))
+        assert closed == closes
+
+    def test_http09_answers_the_bare_body(self, served):
+        server, service = served
+        answer = _drain(server, b"GET /lookup?keyword=madrid\r\n\r\n")
+        assert answer == encode_payload(
+            lookup_payload(service, "madrid"))
+
+    @pytest.mark.parametrize("request_bytes, status, framed", [
+        (b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n", 414, True),
+        (b"GET /paths HTTP/1.1\r\n"
+         + b"".join(b"X-%d: v\r\n" % n for n in range(150))
+         + b"\r\n", 431, True),
+        (b"GET /paths HTTP/1.1\r\nX-Big: " + b"v" * 70000
+         + b"\r\n\r\n", 431, True),
+        (b"POST /paths HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501,
+         True),
+        (b"HEAD /paths HTTP/1.1\r\n\r\n", 501, True),
+        # Refused before the request's version is accepted, so the
+        # stdlib answers these in HTTP/0.9 style: the body alone.
+        (b"GET /paths HTTP/2.0\r\n\r\n", 505, False),
+        (b"GET /paths HTTP/1.1 extra\r\n\r\n", 400, False),
+        (b"\x16\x03\x01 garbage\r\n\r\n", 400, False),
+        (b"GET /paths FTP/1.1\r\n\r\n", 400, False),
+    ])
+    def test_refusals_stay_the_stdlib_s(self, served, request_bytes,
+                                        status, framed):
+        """Whatever is not a well-formed ``GET target HTTP/1.x`` is
+        answered by ``BaseHTTPRequestHandler`` itself: its status,
+        its HTML body, ``Connection: close``."""
+        server, _ = served
+        answer = _drain(server, request_bytes)
+        head, _, body = answer.partition(b"\r\n\r\n") if framed \
+            else (b"", b"", answer)
+        if framed:
+            assert head.startswith(b"HTTP/1.1 %d " % status)
+            assert b"\r\nConnection: close" in head
+        if request_bytes.startswith(b"HEAD"):
+            assert body == b""
+        else:
+            assert b"Error code: %d" % status in body
+
+    def test_hundredth_header_line_is_the_limit(self, served):
+        """The stdlib's count: 99 headers and the blank line pass,
+        one more header does not."""
+        server, _ = served
+        for count, status in ((99, 200), (100, 431)):
+            request = (
+                b"GET /paths HTTP/1.1\r\n"
+                + b"".join(b"X-%d: v\r\n" % n for n in range(count))
+                + b"\r\n")
+            assert _drain(server, request).startswith(
+                b"HTTP/1.1 %d " % status)
+
+    def test_escaped_and_repeated_parameters(self, served):
+        server, service = served
+        _, _, body, _ = _exchange(
+            server,
+            b"GET /refine?keyword=nosuch&keyword=beck%68am"
+            b"&interval=&top=+2&junk HTTP/1.1\r\n\r\n")
+        assert body == encode_payload(
+            refine_payload(service, "beckham", None, 2))
+        _, _, body, _ = _exchange(
+            server,
+            b"GET /lookup?keyword=real+madrid%20cf HTTP/1.1\r\n\r\n")
+        assert json.loads(body)["keyword"] == "real madrid cf"
+
+    def test_reset_mid_response_is_quiet_and_counted(self, served,
+                                                     capfd):
+        """A client that resets under pipelined answers used to make
+        the server print two chained tracebacks per connection."""
+        server, _ = served
+        before = server.server_stats()["disconnects"]
+        sock = socket.create_connection((server.host, server.port))
+        sock.sendall(b"GET /paths HTTP/1.1\r\nHost: t\r\n\r\n" * 50)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        sock.close()  # RST, not FIN
+        deadline = time.time() + 10
+        while server.server_stats()["disconnects"] == before:
+            assert time.time() < deadline, "reset never noticed"
+            time.sleep(0.01)
+        status, body, _ = _get(server.url, "/stats")
+        assert status == 200
+        assert json.loads(body)["server"]["disconnects"] == before + 1
+        assert "Traceback" not in capfd.readouterr().err
+
+
+def _reference_split(target):
+    """``(route, params)`` the way the handler used to get them."""
+    parsed = urlsplit(target)
+    return (parsed.path.rstrip("/") or "/",
+            {key: values[-1]
+             for key, values in parse_qs(parsed.query).items()})
+
+
+# What a request target can hold once the request line has been split
+# on whitespace, weighted towards the characters that mean something.
+_TARGET_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from("ab=&+%?#/:;0123456789AFaf\u00e9"),
+        st.characters(blacklist_categories=("Cs", "Z", "Cc"))),
+    max_size=40)
+
+
+class TestSplitTarget:
+    @given(query=_TARGET_TEXT)
+    def test_query_parses_as_parse_qs_did(self, query):
+        target = "/refine?" + query
+        assert split_target(target) == _reference_split(target)
+
+    @given(target=_TARGET_TEXT.filter(
+        lambda text: text.split() == [text]))
+    def test_any_target_splits_as_urlsplit_did(self, target):
+        try:
+            expected = _reference_split(target)
+        except ValueError:
+            with pytest.raises(ValueError):
+                split_target(target)
+        else:
+            assert split_target(target) == expected
 
 
 class TestServerLifecycle:
