@@ -11,7 +11,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.affinity import AFFINITY_MEASURES
+from repro.affinity import (
+    AFFINITY_MEASURES,
+    collection_token_sets,
+    jaccard,
+    threshold_jaccard_join,
+)
 from repro.core import bfs_stable_clusters
 from repro.core.stability import build_cluster_graph
 from repro.datagen import (
@@ -59,18 +64,23 @@ def test_affinity_measure(benchmark, series, interval_clusters, measure):
 
 
 def test_simjoin_matches_allpairs(series, shape, interval_clusters):
-    """The prefix-filter join must build the identical Jaccard graph."""
+    """The prefix-filter join must keep exactly the pairs an all-pairs
+    Jaccard loop keeps, with the same weights."""
 
     def check():
-        all_pairs = build_cluster_graph(interval_clusters,
-                                        affinity="jaccard", theta=0.1,
-                                        gap=0, use_simjoin=False)
-        joined = build_cluster_graph(interval_clusters,
-                                     affinity="jaccard", theta=0.1,
-                                     gap=0, use_simjoin=True)
-        assert sorted(all_pairs.edges()) == sorted(joined.edges())
+        kept = 0
+        for left, right in zip(interval_clusters,
+                               interval_clusters[1:]):
+            left_sets, right_sets = collection_token_sets(left, right)
+            all_pairs = [(a, b, jaccard(x, y))
+                         for a, x in enumerate(left_sets)
+                         for b, y in enumerate(right_sets)
+                         if jaccard(x, y) >= 0.1]
+            assert threshold_jaccard_join(left_sets, right_sets,
+                                          0.1) == all_pairs
+            kept += len(all_pairs)
+        assert kept
         series("Ablation: affinity measures",
-               f"simjoin == all-pairs on {all_pairs.num_edges} edges",
-               "")
+               f"simjoin == all-pairs on {kept} pairs", "")
 
     shape(check)

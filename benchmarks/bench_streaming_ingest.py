@@ -2,11 +2,11 @@
 
 The serving-tier question Section 4.6 raises but the paper never
 benchmarks: what does one interval cost as the sliding window (gap)
-grows, and does the indexed candidate join beat the all-pairs affinity
-loop it replaced?  A synthetic cluster stream with persistent topics
-is replayed through :class:`repro.core.online.StreamingAffinityPipeline`
-at several gaps; per-interval link latency and the resident/stored
-state are recorded.
+grows?  A synthetic cluster stream with persistent topics is replayed
+through :class:`repro.core.online.StreamingAffinityPipeline` at
+several gaps; per-interval link latency, the resident/stored state,
+and the window join's candidate pairs (against the window × new pairs
+an all-pairs loop compares) are recorded.
 
 Asserted shapes: per-interval state stays bounded by the ``g + 1``
 window however many intervals stream past (the eviction guarantee),
@@ -76,33 +76,39 @@ def run_ingest(record: Callable[[str, str, object], None],
     """Replay the stream per gap; record latency and state bounds."""
     stream = synthetic_cluster_stream(intervals, n)
     for gap in GAPS:
-        for join in (False, True):
-            store = MemoryStore()
-            pipeline = StreamingAffinityPipeline(
-                l=L, k=K, gap=gap, theta=THETA,
-                store=store, use_simjoin=join)
-            per_interval: List[float] = []
-            max_store = 0
-            for clusters in stream:
-                started = time.perf_counter()
-                pipeline.add_interval(clusters)
-                per_interval.append(time.perf_counter() - started)
-                max_store = max(max_store, len(store))
-                # Eviction bound: the store never holds more than the
-                # window's g + 1 intervals of node state.
-                assert len(store) <= (gap + 1) * n
-                intervals_in_store = {node[0] for node in store}
-                assert len(intervals_in_store) <= gap + 1
-            label = "simjoin" if join else "allpairs"
-            mean_ms = 1000 * sum(per_interval) / len(per_interval)
-            worst_ms = 1000 * max(per_interval)
-            record("Streaming ingest (per-interval latency)",
-                   f"g={gap} n={n} {label} mean", f"{mean_ms:.2f}ms")
-            record("Streaming ingest (per-interval latency)",
-                   f"g={gap} n={n} {label} worst", f"{worst_ms:.2f}ms")
-            record("Streaming ingest (bounded state)",
-                   f"g={gap} n={n} {label} max store keys",
-                   f"{max_store} (cap {(gap + 1) * n})")
+        store = MemoryStore()
+        pipeline = StreamingAffinityPipeline(l=L, k=K, gap=gap,
+                                             theta=THETA, store=store)
+        per_interval: List[float] = []
+        max_store = 0
+        all_pairs = 0
+        for position, clusters in enumerate(stream):
+            all_pairs += len(clusters) * sum(
+                len(old) for old in stream[max(0, position - gap - 1):
+                                           position])
+            started = time.perf_counter()
+            pipeline.add_interval(clusters)
+            per_interval.append(time.perf_counter() - started)
+            max_store = max(max_store, len(store))
+            # Eviction bound: the store never holds more than the
+            # window's g + 1 intervals of node state.
+            assert len(store) <= (gap + 1) * n
+            intervals_in_store = {node[0] for node in store}
+            assert len(intervals_in_store) <= gap + 1
+        candidates = pipeline.join_stats.candidate_pairs
+        assert candidates <= all_pairs
+        mean_ms = 1000 * sum(per_interval) / len(per_interval)
+        worst_ms = 1000 * max(per_interval)
+        record("Streaming ingest (per-interval latency)",
+               f"g={gap} n={n} mean", f"{mean_ms:.2f}ms")
+        record("Streaming ingest (per-interval latency)",
+               f"g={gap} n={n} worst", f"{worst_ms:.2f}ms")
+        record("Streaming ingest (join work)",
+               f"g={gap} n={n} candidate pairs",
+               f"{candidates} (all pairs {all_pairs})")
+        record("Streaming ingest (bounded state)",
+               f"g={gap} n={n} max store keys",
+               f"{max_store} (cap {(gap + 1) * n})")
 
 
 def test_streaming_ingest_latency(series) -> None:
@@ -113,20 +119,20 @@ def test_streaming_ingest_latency(series) -> None:
 
 def test_streaming_latency_grows_with_gap() -> None:
     """A larger window means more candidate intervals per ingest:
-    total link work for g=2 must exceed g=0 on the same stream.
-    The join mode is pinned — otherwise the auto heuristic upgrades
-    the larger window to the indexed join and can win outright."""
+    total link work for g=2 must exceed g=1 on the same stream.  Both
+    windows are past the join cutoff, so both gaps run the indexed
+    join — at g=0 the all-pairs loop would be measured instead."""
     stream = synthetic_cluster_stream(INTERVALS, CLUSTERS_PER_INTERVAL)
     totals = {}
-    for gap in (0, 2):
+    for gap in (1, 2):
         pipeline = StreamingAffinityPipeline(l=L, k=K, gap=gap,
-                                             theta=THETA,
-                                             use_simjoin=True)
+                                             theta=THETA)
         started = time.perf_counter()
         for clusters in stream:
             pipeline.add_interval(clusters)
         totals[gap] = time.perf_counter() - started
-    assert totals[2] > totals[0]
+        assert pipeline.join_stats.candidate_pairs > 0
+    assert totals[2] > totals[1]
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -169,8 +169,7 @@ def bench_window_join(record, corpus) -> float:
                        interval_clusters[i])
                       for i in range(max(0, m - 2), m)]
             edges.append(window_affinity_edges(
-                window, interval_clusters[m], theta=0.1,
-                use_simjoin=True))
+                window, interval_clusters[m], theta=0.1))
         return edges
 
     string_seconds, string_edges = _best_of(

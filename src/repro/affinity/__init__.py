@@ -37,7 +37,6 @@ from repro.affinity.simjoin import (
     token_signature,
 )
 from repro.affinity.windowjoin import (
-    STREAM_SIMJOIN_CUTOFF,
     WindowFrequencyTracker,
     join_partition_task,
     joins_exactly,
@@ -50,7 +49,6 @@ __all__ = [
     "JoinStats",
     "SIGNATURE_BANDS",
     "SIMJOIN_CUTOFF",
-    "STREAM_SIMJOIN_CUTOFF",
     "TOKEN_SET_MEASURES",
     "WindowFrequencyTracker",
     "collection_token_sets",

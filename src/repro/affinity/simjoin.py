@@ -25,7 +25,7 @@ signature scheme for set similarity joins (PVLDB'23):
 Both checks are *safe* (they only reject pairs whose exact Jaccard is
 below the threshold), so the verified result set is byte-identical to
 the prefix-only join's — :class:`JoinStats` counts what the second
-level saved.
+level saved (a prefix-only join would verify every candidate).
 
 Tokens are any hashable, mutually orderable values: interned keyword
 ids (the production path — machine-int hashing and comparison) or
@@ -318,16 +318,13 @@ def threshold_jaccard_join(left: Sequence[FrozenSet[Token]],
                            right: Sequence[FrozenSet[Token]],
                            threshold: float,
                            stats: Optional[JoinStats] = None,
-                           two_level: bool = True,
                            frequency: Optional[Counter] = None
                            ) -> List[Tuple[int, int, float]]:
     """All (left_index, right_index, jaccard) with jaccard >= threshold.
 
     Empty sets never join (their Jaccard with anything is 0).
-    ``stats`` (when given) accumulates the filter-level counters;
-    ``two_level=False`` skips the signature level and verifies every
-    prefix candidate — the byte-identical baseline the signature
-    benchmark compares against.  ``frequency`` supplies a precomputed
+    ``stats`` (when given) accumulates the filter-level counters.
+    ``frequency`` supplies a precomputed
     token-frequency counter (the streaming window join maintains one
     incrementally); it must equal
     ``global_frequencies(left, right)`` exactly, or prefixes diverge
@@ -358,8 +355,7 @@ def threshold_jaccard_join(left: Sequence[FrozenSet[Token]],
         if left_buffers is not None else None
     galloping = right_buffers is not None
 
-    right_signatures = [token_signature(item) for item in right] \
-        if two_level else []
+    right_signatures = [token_signature(item) for item in right]
 
     results: List[Tuple[int, int, float]] = []
     for i, item in enumerate(left):
@@ -370,11 +366,11 @@ def threshold_jaccard_join(left: Sequence[FrozenSet[Token]],
                 candidates.update(postings)
         if not candidates:
             continue
-        signature = token_signature(item) if two_level else None
+        signature = token_signature(item)
         for j in sorted(candidates):
             if stats is not None:
                 stats.candidate_pairs += 1
-            if two_level and not signature_compatible(
+            if not signature_compatible(
                     signature, right_signatures[j], threshold, stats):
                 continue
             if stats is not None:

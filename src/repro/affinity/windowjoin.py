@@ -1,19 +1,21 @@
-"""Affinity edges between a streaming window and a new interval.
+"""Affinity edges between a window of intervals and a new interval.
 
-The batch graph construction (:mod:`repro.core.stability`) compares
-cluster pairs either all-pairs or — for Jaccard — through the
-two-level prefix-filter similarity join of
-:mod:`repro.affinity.simjoin`.  The streaming front ends need the same
-computation against the sliding window of the previous ``g + 1``
-intervals; this module provides it once so online and offline paths
-build *identical* edge sets.
+Section 4.1 compares each interval's clusters with those of the
+previous ``g + 1`` intervals and keeps the pairs above θ.  This module
+is that comparison, once: the batch graph builder
+(:mod:`repro.core.stability`) and the streaming front ends
+(:mod:`repro.core.online`) both call :func:`window_affinity_edges`
+with the sliding window of the previous ``g + 1`` intervals, so
+offline and online paths build *identical* edge sets.  For Jaccard,
+once window × new cluster count exceeds ``SIMJOIN_CUTOFF``², the
+comparison runs through the two-level prefix-filter similarity join
+of :mod:`repro.affinity.simjoin`; otherwise all pairs are compared.
 
-Weight semantics match the batch builder's: an edge is kept when its
-affinity strictly exceeds θ, and weights must already lie in
-``(0, 1]`` (up to float slop).  The batch path can normalize an
-unbounded measure by the global maximum after seeing every edge; a
-stream cannot revisit past edges, so unbounded measures are rejected
-here instead of being silently clamped.
+An edge is kept when its affinity strictly exceeds θ; weights are
+returned raw.  The batch builder normalizes an unbounded measure by
+the global maximum after seeing every edge; a stream cannot revisit
+past edges, so the streaming caller rejects weights outside
+``(0, 1]`` instead.
 
 Two streaming-specific optimizations live here:
 
@@ -48,6 +50,7 @@ from typing import (
 )
 
 from repro.affinity.measures import (
+    TOKEN_SET_MEASURES,
     jaccard,
     share_token_namespace,
     token_sets,
@@ -66,14 +69,6 @@ from repro.affinity.simjoin import (
     verify_jaccard,
     verify_jaccard_sorted,
 )
-
-# Matches repro.core.cluster_graph.EPSILON (float-slop tolerance on
-# the (0, 1] weight bound); duplicated to keep affinity a leaf module.
-EPSILON = 1e-12
-
-# The streaming front ends took this name before batch and stream
-# shared one cutoff; kept as an alias.
-STREAM_SIMJOIN_CUTOFF = SIMJOIN_CUTOFF
 
 NodeId = Tuple[int, int]
 WindowEntry = Tuple[Sequence[NodeId], Sequence]
@@ -296,28 +291,9 @@ class WindowFrequencyTracker:
         return frequency
 
 
-def _checked(weight: float, measure: Callable) -> float:
-    if weight > 1.0 + EPSILON:
-        name = getattr(measure, "__name__", repr(measure))
-        raise ValueError(
-            f"affinity measure {name} returned {weight}, outside "
-            f"(0, 1]: a stream cannot renormalize past edges by a "
-            f"global maximum — use a bounded measure (jaccard, dice, "
-            f"overlap) or pre-normalized weights")
-    return min(weight, 1.0)
-
-
-def joins_exactly(measure: Callable,
-                  use_simjoin: Optional[bool] = None) -> bool:
+def joins_exactly(measure: Callable) -> bool:
     """True when *measure* is Jaccard, the one measure the
-    prefix-filter join is exact for; forcing the join on
-    (``use_simjoin=True``) with any other raises ``ValueError``
-    rather than silently comparing all pairs."""
-    if use_simjoin and measure is not jaccard:
-        name = getattr(measure, "__name__", repr(measure))
-        raise ValueError(
-            f"use_simjoin=True requires the jaccard measure (the "
-            f"prefix-filter join is only exact for it), got {name}")
+    prefix-filter join is exact for."""
     return measure is jaccard
 
 
@@ -325,8 +301,6 @@ def window_affinity_edges(window: Sequence[WindowEntry],
                           clusters: Sequence,
                           measure: Callable = jaccard,
                           theta: float = 0.1,
-                          use_simjoin: Optional[bool] = None,
-                          simjoin_cutoff: int = SIMJOIN_CUTOFF,
                           executor=None,
                           num_partitions: Optional[int] = None,
                           frequency_tracker: Optional[
@@ -338,21 +312,19 @@ def window_affinity_edges(window: Sequence[WindowEntry],
     ``window`` holds ``(node_ids, clusters)`` pairs for the previous
     ``g + 1`` intervals, oldest first; cluster objects expose
     ``keywords``.  Returns ``(parent_node, local_index, weight)``
-    triples with ``weight > theta``, the shape
-    :meth:`~repro.core.online.StreamingStableClusters.add_interval`
-    consumes.  ``use_simjoin`` forces the prefix-filter join on or
-    off; by default it engages for Jaccard once the whole window's
-    comparison count exceeds ``simjoin_cutoff``².  When engaged, the
-    window's clusters are joined against the new interval in a
-    *single* call — one frequency counter and one inverted index per
-    ingested interval, not one per window interval (per-interval
-    latency is the serving metric).  The join is exact only for
-    Jaccard, so forcing it on with another measure raises rather
-    than silently falling back to all-pairs.
+    triples with ``weight > theta``, ordered by parent then child, the
+    shape :meth:`~repro.core.online.StreamingStableClusters.add_interval`
+    consumes.  For Jaccard, once the whole window's comparison count
+    exceeds ``SIMJOIN_CUTOFF``², the window's clusters are joined
+    against the new interval by the prefix-filter join in a *single*
+    call — one frequency counter and one inverted index per ingested
+    interval, not one per window interval; every other case compares
+    all pairs.  The join is exact, so the choice moves speed, never
+    edges.
 
-    ``frequency_tracker`` (owned by the caller, one per stream)
+    ``frequency_tracker`` (owned by the caller, one per window)
     maintains the global token frequencies incrementally across
-    ingests; without one, every call recounts the window.
+    ingests; without one, every engaged join recounts the window.
     ``join_stats`` accumulates the two-level filter's candidate /
     verified counters for the serial engaged join (the partitioned
     path reports totals per worker, not here).
@@ -365,62 +337,56 @@ def window_affinity_edges(window: Sequence[WindowEntry],
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
-    is_jaccard = joins_exactly(measure, use_simjoin)
     edges: List[Tuple[NodeId, int, float]] = []
-    if not clusters:
+    if not clusters or not window:
         return edges
     window_size = sum(len(old) for _, old in window)
-    engage_join = use_simjoin if use_simjoin is not None else (
-        is_jaccard
-        and window_size * len(clusters) > simjoin_cutoff ** 2)
-    if engage_join:  # only ever true for Jaccard (checked above)
-        # Concatenate the window oldest-first so edge order matches
-        # the all-pairs path (results are order-insensitive anyway).
-        # Token sets are interned ids when window and new clusters
+    engage_join = joins_exactly(measure) \
+        and window_size * len(clusters) > SIMJOIN_CUTOFF ** 2
+    if engage_join or measure in TOKEN_SET_MEASURES:
+        # Resolve the token sets once per ingest rather than once per
+        # cluster pair: interned ids when window and new clusters
         # share one vocabulary, decoded strings otherwise.
-        new_clusters = list(clusters)
         decoded = not share_token_namespace(
-            [cluster for _, old in window for cluster in old],
-            new_clusters)
-        owners: List[NodeId] = []
-        old_sets: List[frozenset] = []
-        window_sets: List[List[frozenset]] = []
-        for node_ids, old_clusters in window:
-            entry_sets = token_sets(old_clusters, decoded)
-            window_sets.append(entry_sets)
-            old_sets.extend(entry_sets)
-            owners.extend(node_ids[:len(old_clusters)])
-        new_sets = token_sets(new_clusters, decoded)
-        frequency = None
-        if frequency_tracker is not None:
-            frequency = frequency_tracker.frequencies(
-                window, window_sets, new_sets, decoded)
-        if executor is not None and executor.workers > 1:
-            pieces = num_partitions or executor.workers
-            payloads = partition_join_payloads(old_sets, new_sets,
-                                               theta, pieces,
-                                               frequency=frequency)
-            merged: Dict[Tuple[int, int], float] = {}
-            for results in executor.map_stages(join_partition_task,
-                                               payloads):
-                for a, b, weight in results:
-                    merged[(a, b)] = weight
-            matches = [(a, b, merged[(a, b)])
-                       for a, b in sorted(merged)]
-        else:
-            matches = threshold_jaccard_join(old_sets, new_sets, theta,
-                                             stats=join_stats,
-                                             frequency=frequency)
-        for a, b, weight in matches:
-            # The join is >= theta; the paper keeps > theta.
-            if weight > theta:
-                edges.append((owners[a], b, weight))
+            *(old for _, old in window), clusters)
+        window_sets = [token_sets(old, decoded) for _, old in window]
+        new_sets = token_sets(clusters, decoded)
+    else:
+        window_sets = [old for _, old in window]
+        new_sets = clusters
+    if not engage_join:
+        for (node_ids, _), old_sets in zip(window, window_sets):
+            for a, old in enumerate(old_sets):
+                for b, new in enumerate(new_sets):
+                    weight = measure(old, new)
+                    if weight > theta:
+                        edges.append((node_ids[a], b, weight))
         return edges
-    for node_ids, old_clusters in window:
-        for a, old_cluster in enumerate(old_clusters):
-            for b, cluster in enumerate(clusters):
-                weight = measure(old_cluster, cluster)
-                if weight > theta:
-                    edges.append((node_ids[a], b,
-                                  _checked(weight, measure)))
+    # Concatenate the window oldest-first so edge order matches the
+    # all-pairs loop.
+    owners = [node for node_ids, old in window
+              for node in node_ids[:len(old)]]
+    old_sets = [item for sets in window_sets for item in sets]
+    frequency = None
+    if frequency_tracker is not None:
+        frequency = frequency_tracker.frequencies(
+            window, window_sets, new_sets, decoded)
+    if executor is not None and executor.workers > 1:
+        pieces = num_partitions or executor.workers
+        payloads = partition_join_payloads(old_sets, new_sets, theta,
+                                           pieces, frequency=frequency)
+        merged: Dict[Tuple[int, int], float] = {}
+        for results in executor.map_stages(join_partition_task,
+                                           payloads):
+            for a, b, weight in results:
+                merged[(a, b)] = weight
+        matches = [(a, b, merged[(a, b)]) for a, b in sorted(merged)]
+    else:
+        matches = threshold_jaccard_join(old_sets, new_sets, theta,
+                                         stats=join_stats,
+                                         frequency=frequency)
+    for a, b, weight in matches:
+        # The join is >= theta; the paper keeps > theta.
+        if weight > theta:
+            edges.append((owners[a], b, weight))
     return edges

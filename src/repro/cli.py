@@ -741,6 +741,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
+def _add_gap(parent: argparse.ArgumentParser) -> None:
+    """--gap, declared once so every subcommand defaults alike."""
+    parent.add_argument("--gap", type=int, default=1,
+                        help="max intervals a path may skip (g; "
+                             "default: 1)")
+
+
 def _shape_parent() -> argparse.ArgumentParser:
     """--length/-k/--gap/--problem, the query-shape flags every
     corpus-running subcommand shares."""
@@ -750,8 +757,7 @@ def _shape_parent() -> argparse.ArgumentParser:
                              "--problem normalized)")
     parent.add_argument("-k", type=int, default=5,
                         help="number of stable paths to report")
-    parent.add_argument("--gap", type=int, default=0,
-                        help="max intervals a path may skip (g)")
+    _add_gap(parent)
     parent.add_argument("--problem", choices=["kl", "normalized"],
                         default="kl",
                         help="Problem 1 (kl: length exactly l) or "
@@ -808,8 +814,7 @@ def _graph_shape_parent() -> argparse.ArgumentParser:
                         help="clusters per interval")
     parent.add_argument("-d", type=int, default=5,
                         help="average out degree")
-    parent.add_argument("--gap", type=int, default=0,
-                        help="max intervals a path may skip (g)")
+    _add_gap(parent)
     parent.add_argument("--length", type=int, default=0,
                         help="path length l; 0 means full paths "
                              "(m - 1)")
@@ -911,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
                       default="auto",
                       help="search algorithm; 'auto' lets the "
                            "cost-based planner pick")
-    demo.set_defaults(func=cmd_demo, gap=1)
+    demo.set_defaults(func=cmd_demo)
 
     clusters = sub.add_parser("clusters",
                               help="per-interval keyword clusters",

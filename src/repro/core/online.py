@@ -28,7 +28,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.affinity.simjoin import JoinStats
 from repro.affinity.windowjoin import (
-    STREAM_SIMJOIN_CUTOFF,
     WindowFrequencyTracker,
     window_affinity_edges,
 )
@@ -176,15 +175,15 @@ class StreamingAffinityPipeline:
     against the clusters of the previous ``gap + 1`` intervals with the
     supplied measure and threshold θ (Section 4.1's construction,
     applied online).  Cluster objects must expose ``keywords``.  The
-    comparison uses the same inverted-keyword-index candidate join as
-    the batch graph builder once interval sizes warrant it
-    (:func:`~repro.affinity.window_affinity_edges`), not an all-pairs
-    loop, and the same weight semantics — edges above θ, weights in
-    ``(0, 1]``; an unbounded measure raises instead of being silently
-    clamped.  ``store`` is forwarded to the underlying maintainer.
-    ``executor`` (a :class:`~repro.parallel.Executor`; not owned, the
-    caller closes it) partitions the engaged join by index token
-    across its workers — edges are executor-invariant.
+    comparison is the batch graph builder's own window join
+    (:func:`~repro.affinity.window_affinity_edges`) with the same
+    weight semantics — edges above θ, weights in ``(0, 1]``; an
+    unbounded measure raises instead of being silently clamped, since
+    a stream cannot normalize by a maximum it has not seen.  ``store``
+    is forwarded to the underlying maintainer.  ``executor`` (a
+    :class:`~repro.parallel.Executor`; not owned, the caller closes it)
+    partitions the engaged join by index token across its workers —
+    edges are executor-invariant.
     """
 
     def __init__(self, l: int, k: int, gap: int = 0,
@@ -192,16 +191,12 @@ class StreamingAffinityPipeline:
                  theta: float = 0.1,
                  mode: str = "kl",
                  store: Optional[StateStore] = None,
-                 use_simjoin: Optional[bool] = None,
-                 simjoin_cutoff: int = STREAM_SIMJOIN_CUTOFF,
                  executor=None) -> None:
         from repro.affinity import jaccard
         if not 0.0 < theta <= 1.0:
             raise ValueError(f"theta must be in (0, 1], got {theta}")
         self.affinity = affinity if affinity is not None else jaccard
         self.theta = theta
-        self.use_simjoin = use_simjoin
-        self.simjoin_cutoff = simjoin_cutoff
         self.executor = executor
         self.stream = StreamingStableClusters(l=l, k=k, gap=gap,
                                               mode=mode, store=store)
@@ -218,17 +213,28 @@ class StreamingAffinityPipeline:
         the recent window are computed here."""
         edges = window_affinity_edges(
             self._recent, clusters, measure=self.affinity,
-            theta=self.theta, use_simjoin=self.use_simjoin,
-            simjoin_cutoff=self.simjoin_cutoff,
-            executor=self.executor,
+            theta=self.theta, executor=self.executor,
             frequency_tracker=self.frequency_tracker,
             join_stats=self.join_stats)
+        self._check_bounded(edges)
         self.last_num_edges = len(edges)
         node_ids = self.stream.add_interval(len(clusters), edges)
         self._recent.append((node_ids, list(clusters)))
         if len(self._recent) > self.stream.gap + 1:
             self._recent.pop(0)
         return node_ids
+
+    def _check_bounded(self, edges) -> None:
+        for _, _, weight in edges:
+            if weight > 1.0 + EPSILON:
+                name = getattr(self.affinity, "__name__",
+                               repr(self.affinity))
+                raise ValueError(
+                    f"affinity measure {name} returned {weight}, "
+                    f"outside (0, 1]: a stream cannot renormalize past "
+                    f"edges by a global maximum — use a bounded measure "
+                    f"(jaccard, dice, overlap) or pre-normalized "
+                    f"weights")
 
     def top_k(self) -> List[Path]:
         """Current top-k paths, best first."""

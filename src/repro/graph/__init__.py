@@ -4,8 +4,8 @@ The paper reports the biconnected components of the pruned keyword
 graph G' as keyword clusters (Section 3, Algorithm 1).  This package
 provides the undirected weighted graph type, an iterative
 Hopcroft–Tarjan implementation of articulation points / biconnected
-components whose edge stack can spill to disk, and the cluster
-extraction that layers the paper's reporting rules on top.
+components, and the cluster extraction that layers the paper's
+reporting rules on top.
 """
 
 from repro.graph.adjacency import Graph

@@ -24,7 +24,6 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.affinity import measures
 from repro.graph.adjacency import Graph
 from repro.graph.biconnected import biconnected_components
-from repro.storage.iostats import IOStats
 from repro.vocab import FrozenVocabulary, Vocabulary, VocabularyLike
 
 Vertex = Any
@@ -231,9 +230,6 @@ class KeywordCluster:
 def extract_clusters(pruned: Graph, interval: Optional[int] = None,
                      min_edges: int = 2,
                      include_bridge_trees: bool = False,
-                     stack_budget: int = 0,
-                     spill_dir: Optional[str] = None,
-                     stats: Optional[IOStats] = None,
                      vocab: Optional[VocabularyLike] = None
                      ) -> List[KeywordCluster]:
     """Report the clusters of a pruned keyword graph G'.
@@ -252,8 +248,7 @@ def extract_clusters(pruned: Graph, interval: Optional[int] = None,
     """
     if min_edges < 1:
         raise ValueError(f"min_edges must be >= 1, got {min_edges}")
-    result = biconnected_components(pruned, stack_budget=stack_budget,
-                                    spill_dir=spill_dir, stats=stats)
+    result = biconnected_components(pruned)
     surviving: List[List[Tuple[Vertex, Vertex]]] = [
         component for component in result.components
         if len(component) >= min_edges]

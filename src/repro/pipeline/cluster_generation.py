@@ -93,7 +93,6 @@ def generate_interval_clusters_task(
         include_bridge_trees: bool = False,
         external: bool = False,
         directory: Optional[str] = None,
-        stack_budget: int = 0,
         stats: Optional[IOStats] = None
 ) -> Tuple[List[KeywordCluster], ClusterGenerationReport]:
     """The full Section 3 procedure as a pure, picklable unit of work.
@@ -134,9 +133,7 @@ def generate_interval_clusters_task(
 
     clusters = compact_clusters(extract_clusters(
         pruned, interval=interval, min_edges=min_edges,
-        include_bridge_trees=include_bridge_trees,
-        stack_budget=stack_budget,
-        spill_dir=directory, stats=stats, vocab=vocab))
+        include_bridge_trees=include_bridge_trees, vocab=vocab))
     finished = time.perf_counter()
 
     report.num_documents = len(documents)
@@ -158,7 +155,6 @@ def generate_interval_clusters(corpus: IntervalCorpus, interval: int,
                                include_bridge_trees: bool = False,
                                external: bool = False,
                                directory: Optional[str] = None,
-                               stack_budget: int = 0,
                                stats: Optional[IOStats] = None,
                                report: Optional[ClusterGenerationReport]
                                = None) -> List[KeywordCluster]:
@@ -170,7 +166,7 @@ def generate_interval_clusters(corpus: IntervalCorpus, interval: int,
         documents, interval, rho_threshold=rho_threshold,
         chi2_critical=chi2_critical, min_edges=min_edges,
         include_bridge_trees=include_bridge_trees, external=external,
-        directory=directory, stack_budget=stack_budget, stats=stats)
+        directory=directory, stats=stats)
     if report is not None:
         for spec in fields(ClusterGenerationReport):
             setattr(report, spec.name, getattr(task_report, spec.name))

@@ -302,7 +302,11 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:
         """Route one request through admission to its endpoint."""
         server = self.server.cluster_server  # type: ignore[attr-defined]
-        route, params = split_target(self.path)
+        try:
+            route, params = split_target(self.path)
+        except ValueError as exc:  # e.g. an unparsable absolute URL
+            self._respond(400, {"error": str(exc)})
+            return
         if route not in ROUTES:
             self._respond(404, {"error": f"no such endpoint: {route}",
                                 "endpoints": list(ROUTES)})

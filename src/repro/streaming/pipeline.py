@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Union
 
-from repro.affinity import STREAM_SIMJOIN_CUTOFF, get_measure
+from repro.affinity import get_measure
 from repro.cooccur.keyword_graph import RHO_DEFAULT
 from repro.core.online import StreamingAffinityPipeline
 from repro.core.paths import NodeId, Path
@@ -117,8 +117,6 @@ class StreamingDocumentPipeline:
                  theta: float = THETA_DEFAULT,
                  min_edges: int = 2,
                  store: Optional[StateStore] = None,
-                 use_simjoin: Optional[bool] = None,
-                 simjoin_cutoff: int = STREAM_SIMJOIN_CUTOFF,
                  workers: Union[int, Executor, None] = None,
                  index_dir: Optional[str] = None,
                  index_append: bool = True,
@@ -138,8 +136,7 @@ class StreamingDocumentPipeline:
         self.executor = executor_for(workers)
         self.linker = StreamingAffinityPipeline(
             l=l, k=k, gap=gap, affinity=measure, theta=theta,
-            mode=problem, store=store, use_simjoin=use_simjoin,
-            simjoin_cutoff=simjoin_cutoff,
+            mode=problem, store=store,
             executor=self.executor if self.executor.workers > 1
             else None)
         self.reports: List[IntervalIngestReport] = []

@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import argparse
 import json
 
 import pytest
@@ -50,6 +51,44 @@ class TestParser:
         assert args.backend == "auto"
         assert args.follow is False
         assert args.memory_budget is None
+
+    def test_every_gap_default_is_the_same(self):
+        """``demo`` once reset the shared ``--gap`` action, so the
+        subcommands disagreed; each now parses to one default."""
+        def leaves(parser, argv):
+            subparsers = [action for action in parser._actions
+                          if isinstance(action,
+                                        argparse._SubParsersAction)]
+            if not subparsers:
+                yield parser, argv
+            for action in subparsers:
+                for name, child in action.choices.items():
+                    yield from leaves(child, argv + [name])
+
+        gaps = {}
+        for parser, argv in leaves(build_parser(), []):
+            if "--gap" not in parser._option_string_actions:
+                continue
+            required = [word for action in parser._actions
+                        if action.required
+                        for word in action.option_strings[:1] + ["x"]]
+            gaps[" ".join(argv)] = build_parser().parse_args(
+                argv + required).gap
+        assert {"demo", "stable", "stream", "index build", "explain",
+                "bench-graph"} <= set(gaps)
+        assert set(gaps.values()) == {1}, gaps
+
+    @pytest.mark.parametrize("command", [
+        ["demo"], ["stable"], ["stream"], ["index", "build"],
+        ["explain"], ["bench-graph"]], ids=" ".join)
+    def test_gap_help_states_the_default(self, command):
+        parser = build_parser()
+        for name in command:
+            parser = next(
+                action.choices[name] for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+        help_text = parser._option_string_actions["--gap"].help
+        assert help_text.endswith("default: 1)")
 
     def test_stream_rejects_batch_only_solver(self):
         with pytest.raises(SystemExit):

@@ -4,9 +4,17 @@ import random
 
 import pytest
 
-from repro.affinity import JoinStats, dice, window_affinity_edges
+from repro.affinity import (
+    SIMJOIN_CUTOFF,
+    JoinStats,
+    dice,
+    intersection_size,
+    jaccard,
+)
+from repro.core.online import StreamingAffinityPipeline
 from repro.core.stability import build_cluster_graph
 from repro.graph import KeywordCluster
+from repro.vocab import Vocabulary
 
 
 def clusters_timeline():
@@ -21,10 +29,11 @@ def clusters_timeline():
 
 
 def drifting_timeline(intervals, per_interval, size=8, pool=600,
-                      seed=14):
+                      seed=14, interned=False):
     """Every other cluster continues the previous interval's cluster
     at its position with one to three keywords replaced; the rest are
-    fresh draws (the end-to-end benchmark's stream shape)."""
+    fresh draws (the end-to-end benchmark's stream shape).  With
+    *interned* every cluster is bound to one shared vocabulary."""
     rng = random.Random(seed)
     names = [f"kw{rank}" for rank in range(pool)]
     timeline, previous = [], []
@@ -44,7 +53,94 @@ def drifting_timeline(intervals, per_interval, size=8, pool=600,
                                        zip(sorted(keywords),
                                            sorted(keywords)[1:])))
             for keywords in rng.sample(current, len(current))])
+    if interned:
+        vocab = Vocabulary()
+        vocab.intern_sorted(names)
+        timeline = [[KeywordCluster(
+            tokens=sorted(vocab.id_of(w) for w in cluster.keywords),
+            interval=cluster.interval, vocab=vocab)
+            for cluster in clusters] for clusters in timeline]
     return timeline
+
+
+def all_pairs_oracle(timeline, measure, theta, gap):
+    """Section 4.1 written out: every cluster pair at most g + 1
+    intervals apart, kept above θ, weights divided by their maximum
+    when it exceeds 1; parents listed oldest first, children by
+    descending weight."""
+    raw = [((i, a), (j, b), measure(old, new))
+           for j in range(len(timeline))
+           for i in range(max(0, j - gap - 1), j)
+           for a, old in enumerate(timeline[i])
+           for b, new in enumerate(timeline[j])]
+    raw = [edge for edge in raw if edge[2] > theta]
+    top = max([weight for _, _, weight in raw], default=1.0)
+    scale = 1.0 / top if top > 1.0 else 1.0
+    parents, children = {}, {}
+    for parent, child, weight in raw:
+        weight = min(weight * scale, 1.0)
+        parents.setdefault(child, []).append((parent, weight))
+        children.setdefault(parent, []).append((child, weight))
+    for edges in children.values():
+        edges.sort(key=lambda edge: (-edge[1], edge[0]))
+    return parents, children
+
+
+def streamed_edges(timeline, measure, theta, gap):
+    """Every ``(parent, child, weight)`` the streaming pipeline hands
+    its maintainer, interval by interval."""
+    pipeline = StreamingAffinityPipeline(l=1, k=1, gap=gap,
+                                         affinity=measure, theta=theta)
+    emitted, add_interval = [], pipeline.stream.add_interval
+
+    def record(num_clusters, edges):
+        interval = pipeline.stream._next_interval
+        emitted.extend((parent, (interval, b), weight)
+                       for parent, b, weight in edges)
+        return add_interval(num_clusters, edges)
+
+    pipeline.stream.add_interval = record
+    for clusters in timeline:
+        pipeline.add_interval(clusters)
+    return emitted
+
+
+class TestBatchStreamOracleDifferential:
+    """One window join builds every graph: the batch builder equals
+    the all-pairs oracle edge for edge, weight for weight and in list
+    order, and — for bounded measures — the streaming pipeline emits
+    exactly its edges."""
+
+    @pytest.mark.parametrize("measure", [jaccard, dice,
+                                         intersection_size],
+                             ids=["jaccard", "dice", "intersection"])
+    @pytest.mark.parametrize("interned", [False, True],
+                             ids=["strings", "ids"])
+    @pytest.mark.parametrize("per_interval", [12, SIMJOIN_CUTOFF + 6])
+    @pytest.mark.parametrize("gap", [0, 1, 2])
+    def test_batch_equals_oracle_and_stream(self, gap, per_interval,
+                                            interned, measure):
+        timeline = drifting_timeline(intervals=5,
+                                     per_interval=per_interval,
+                                     interned=interned)
+        # Intersection counts keywords: θ = 1 keeps pairs sharing two.
+        theta = 1.0 if measure is intersection_size else 0.1
+        stats = JoinStats()
+        graph = build_cluster_graph(timeline, affinity=measure,
+                                    theta=theta, gap=gap,
+                                    join_stats=stats)
+        parents, children = all_pairs_oracle(timeline, measure, theta,
+                                             gap)
+        assert graph.num_edges > 0
+        for node in graph.nodes():
+            assert graph.parents(node) == parents.get(node, [])
+            assert graph.children(node) == children.get(node, [])
+        engaged = measure is jaccard and \
+            per_interval ** 2 > SIMJOIN_CUTOFF ** 2
+        assert (stats.candidate_pairs > 0) == engaged
+        if measure is not intersection_size:
+            assert sorted(streamed_edges(timeline, measure, theta,
+                                         gap)) == sorted(graph.edges())
 
 
 class TestBuildClusterGraph:
@@ -100,53 +196,15 @@ class TestBuildClusterGraph:
                                     theta=0.05, gap=0)
         assert graph.num_edges > 0
 
-    def test_simjoin_path_equals_allpairs(self):
-        timeline = clusters_timeline()
-        plain = build_cluster_graph(timeline, use_simjoin=False)
-        joined = build_cluster_graph(timeline, use_simjoin=True)
-        assert sorted(plain.edges()) == sorted(joined.edges())
-
-    def test_forced_join_requires_jaccard_like_the_stream(self):
-        """The batch builder used to fall back to all-pairs silently
-        where the window join raises; both raise the same error now."""
-        timeline = clusters_timeline()
-        with pytest.raises(ValueError) as batch:
-            build_cluster_graph(timeline, affinity="dice",
-                                use_simjoin=True)
-        with pytest.raises(ValueError) as stream:
-            window_affinity_edges([([(0, 0), (0, 1)], timeline[0])],
-                                  timeline[1], measure=dice,
-                                  use_simjoin=True)
-        assert str(batch.value) == str(stream.value)
-        assert "jaccard" in str(batch.value)
-        # Unforced, a non-Jaccard measure still compares all pairs.
-        assert build_cluster_graph(timeline, affinity="dice").num_edges
-
-    def test_default_join_equals_allpairs_edge_for_edge(self):
-        """At the shared cutoff a 90-cluster interval pair engages the
-        join by default; the graph must not change by an edge, a
-        weight, or the order parents are listed in."""
-        timeline = drifting_timeline(intervals=14, per_interval=90)
-        stats = JoinStats()
-        default = build_cluster_graph(timeline, gap=1, join_stats=stats)
-        plain = build_cluster_graph(timeline, gap=1, use_simjoin=False)
-        assert default.num_edges == plain.num_edges > 0
-        for node in plain.nodes():
-            assert default.parents(node) == plain.parents(node)
-            assert default.children(node) == plain.children(node)
-        assert stats.candidate_pairs >= stats.verified_pairs > 0
-        assert stats.result_pairs >= default.num_edges
-
     def test_allpairs_token_set_hoist_keeps_weights(self):
-        """The all-pairs loop resolves token sets once per interval
-        pair for the set-overlap measures; weights are the measure's
-        own, cluster by cluster."""
+        """The all-pairs loop resolves token sets once per window for
+        the set-overlap measures; weights are the measure's own,
+        cluster by cluster."""
         from repro.affinity import get_measure
         timeline = drifting_timeline(intervals=3, per_interval=12)
         for name in ("jaccard", "dice", "overlap", "weighted_jaccard"):
             measure = get_measure(name)
-            graph = build_cluster_graph(timeline, affinity=name,
-                                        use_simjoin=False)
+            graph = build_cluster_graph(timeline, affinity=name)
             assert graph.num_edges > 0
             for parent, child, weight in graph.edges():
                 assert weight == measure(graph.payload(parent),

@@ -351,26 +351,34 @@ def _random_window(rng, num_intervals, clusters_per_interval):
     return window, new
 
 
+@pytest.fixture
+def engaged_join(monkeypatch):
+    """Engage the prefix-filter join at any window size, so small
+    inputs exercise it."""
+    monkeypatch.setattr("repro.affinity.windowjoin.SIMJOIN_CUTOFF", 0)
+
+
+@pytest.mark.usefixtures("engaged_join")
 class TestPartitionedWindowJoin:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("partitions", [1, 2, 3, 7])
     def test_partitioned_equals_single_index(self, seed, partitions):
         rng = random.Random(seed)
         window, new = _random_window(rng, 3, 30)
-        serial = window_affinity_edges(window, new, use_simjoin=True)
+        serial = window_affinity_edges(window, new)
         with ThreadExecutor(workers=2) as executor:
             partitioned = window_affinity_edges(
-                window, new, use_simjoin=True, executor=executor,
+                window, new, executor=executor,
                 num_partitions=partitions)
         assert partitioned == serial
 
     def test_process_pool_join_equals_serial(self):
         rng = random.Random(9)
         window, new = _random_window(rng, 2, 40)
-        serial = window_affinity_edges(window, new, use_simjoin=True)
+        serial = window_affinity_edges(window, new)
         with ProcessExecutor(workers=2) as executor:
             partitioned = window_affinity_edges(
-                window, new, use_simjoin=True, executor=executor)
+                window, new, executor=executor)
         assert partitioned == serial
 
     def test_payload_partitions_cover_all_matches(self):
@@ -407,6 +415,7 @@ def _interval_texts(num_intervals):
 
 
 class TestStreamingEquivalence:
+    @pytest.mark.usefixtures("engaged_join")
     @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
     @pytest.mark.parametrize("gap", [0, 1, 2])
     @pytest.mark.parametrize("problem", ["kl", "normalized"])
@@ -416,7 +425,7 @@ class TestStreamingEquivalence:
         def replay(workers):
             with StreamingDocumentPipeline(
                     l=2, k=4, gap=gap, problem=problem,
-                    use_simjoin=True, workers=workers) as pipeline:
+                    workers=workers) as pipeline:
                 for interval in texts:
                     pipeline.add_texts(interval)
                 return [(p.nodes, pytest.approx(p.weight))

@@ -605,6 +605,38 @@ class TestWireConformance:
         else:
             assert b"Error code: %d" % status in body
 
+    def test_unparsable_target_is_a_json_400(self, served):
+        """A target ``urlsplit`` rejects is the client's error: a 400
+        with the usual JSON body, and the connection stays usable."""
+        server, service = served
+        sock, stream = _connect(server)
+        try:
+            sock.sendall(b"GET http://[x HTTP/1.1\r\n\r\n")
+            status_line, _, body = _read_response(stream)
+            assert status_line == b"HTTP/1.1 400 Bad Request\r\n"
+            assert body == encode_payload(
+                {"error": "Invalid IPv6 URL"})
+            sock.sendall(b"GET /paths HTTP/1.1\r\n\r\n")
+            _, _, body = _read_response(stream)
+            assert body == encode_payload(paths_payload(service))
+        finally:
+            stream.close()
+            sock.close()
+
+    @pytest.mark.parametrize("target", [
+        b"http://[::1", b"https://[::1/refine", b"http://[x/paths?q=1"])
+    def test_every_unparsable_authority_is_a_400(self, served, target):
+        server, _ = served
+        sock, stream = _connect(server)
+        try:
+            sock.sendall(b"GET " + target + b" HTTP/1.1\r\n\r\n")
+            status_line, _, body = _read_response(stream)
+            assert status_line == b"HTTP/1.1 400 Bad Request\r\n"
+            assert json.loads(body) == {"error": "Invalid IPv6 URL"}
+        finally:
+            stream.close()
+            sock.close()
+
     def test_hundredth_header_line_is_the_limit(self, served):
         """The stdlib's count: 99 headers and the blank line pass,
         one more header does not."""

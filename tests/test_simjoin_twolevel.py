@@ -17,7 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.affinity import dice, jaccard
 from repro.affinity.simjoin import (
+    SIMJOIN_CUTOFF,
     JoinStats,
     SIGNATURE_BANDS,
     _prefix_length,
@@ -33,6 +35,7 @@ from repro.affinity.simjoin import (
 )
 from repro.affinity.windowjoin import (
     WindowFrequencyTracker,
+    joins_exactly,
     window_affinity_edges,
 )
 from repro.graph.clusters import KeywordCluster
@@ -93,22 +96,18 @@ class TestRandomizedEquivalence:
             brute_force(left, right, threshold)
 
     @pytest.mark.parametrize("threshold", [0.3, 0.7])
-    def test_two_level_matches_prefix_only(self, threshold):
+    def test_two_level_matches_brute_force(self, threshold):
         rng = random.Random(99)
         left = random_id_collection(rng, 40, 50)
         right = random_id_collection(rng, 40, 50)
         stats = JoinStats()
-        baseline = JoinStats()
         assert threshold_jaccard_join(left, right, threshold,
                                       stats=stats) == \
-            threshold_jaccard_join(left, right, threshold,
-                                   stats=baseline, two_level=False)
-        # Prefix-only verifies every candidate; both see the same
-        # level-1 candidates.
-        assert baseline.verified_pairs == baseline.candidate_pairs
-        assert baseline.length_rejected == 0
-        assert baseline.band_rejected == 0
-        assert stats.candidate_pairs == baseline.candidate_pairs
+            brute_force(left, right, threshold)
+        # Level 2 verifies only the candidates its checks keep.
+        assert stats.verified_pairs == stats.candidate_pairs \
+            - stats.length_rejected - stats.band_rejected
+        assert stats.length_rejected + stats.band_rejected > 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.frozensets(st.integers(0, 30), max_size=8),
@@ -307,31 +306,85 @@ class TestPartitionedEquivalence:
         "make_executor",
         [SerialExecutor, lambda: ThreadExecutor(workers=2)],
         ids=["serial", "threads"])
-    def test_partitioned_matches_serial(self, make_executor):
+    def test_partitioned_matches_serial(self, make_executor,
+                                        monkeypatch):
+        monkeypatch.setattr("repro.affinity.windowjoin.SIMJOIN_CUTOFF",
+                            0)
         rng = random.Random(33)
         window, new = self._window(rng)
-        serial = window_affinity_edges(window, new, theta=0.2,
-                                       use_simjoin=True)
+        serial = window_affinity_edges(window, new, theta=0.2)
         with make_executor() as executor:
             partitioned = window_affinity_edges(
-                window, new, theta=0.2, use_simjoin=True,
-                executor=executor)
+                window, new, theta=0.2, executor=executor)
         assert partitioned == serial
         assert serial  # the workload must actually produce edges
 
-    def test_tracker_and_stats_thread_through(self):
+    def test_tracker_and_stats_thread_through(self, monkeypatch):
+        monkeypatch.setattr("repro.affinity.windowjoin.SIMJOIN_CUTOFF",
+                            0)
         rng = random.Random(34)
         window, new = self._window(rng)
         stats = JoinStats()
         tracked = window_affinity_edges(
-            window, new, theta=0.2, use_simjoin=True,
+            window, new, theta=0.2,
             frequency_tracker=WindowFrequencyTracker(),
             join_stats=stats)
         assert tracked == window_affinity_edges(window, new,
-                                                theta=0.2,
-                                                use_simjoin=True)
+                                                theta=0.2)
         assert stats.candidate_pairs >= stats.verified_pairs
         assert stats.verified_pairs >= len(tracked)
+
+
+def _all_pairs(window, new, measure, theta):
+    return [(node, b, measure(old, cluster))
+            for node_ids, clusters in window
+            for node, old in zip(node_ids, clusters)
+            for b, cluster in enumerate(new)
+            if measure(old, cluster) > theta]
+
+
+class TestJoinEngagement:
+    """The window join engages only for Jaccard, and only once the
+    whole window's comparison count exceeds ``SIMJOIN_CUTOFF``²."""
+
+    def _window(self, rng, sizes, new_size):
+        window = [(tuple((m, j) for j in range(size)),
+                   [_Cluster(rng.sample(range(60), rng.randint(1, 6)))
+                    for _ in range(size)])
+                  for m, size in enumerate(sizes)]
+        new = [_Cluster(rng.sample(range(60), rng.randint(1, 6)))
+               for _ in range(new_size)]
+        return window, new
+
+    def _run(self, sizes, new_size, measure=jaccard):
+        window, new = self._window(random.Random(41), sizes, new_size)
+        stats = JoinStats()
+        edges = window_affinity_edges(window, new, measure=measure,
+                                      theta=0.2, join_stats=stats)
+        assert edges == _all_pairs(window, new, measure, 0.2)
+        assert edges  # the inputs must share tokens
+        return stats
+
+    def test_at_the_cutoff_compares_all_pairs(self):
+        assert self._run([SIMJOIN_CUTOFF], SIMJOIN_CUTOFF) == JoinStats()
+
+    def test_past_the_cutoff_engages_the_join(self):
+        stats = self._run([SIMJOIN_CUTOFF + 1], SIMJOIN_CUTOFF)
+        assert stats.candidate_pairs > 0
+
+    def test_cutoff_counts_the_whole_window(self):
+        half = SIMJOIN_CUTOFF // 2 + 1
+        stats = self._run([half, half], SIMJOIN_CUTOFF)
+        assert stats.candidate_pairs > 0
+
+    def test_other_measures_never_engage(self):
+        stats = self._run([SIMJOIN_CUTOFF + 1], SIMJOIN_CUTOFF,
+                          measure=dice)
+        assert stats == JoinStats()
+
+    def test_joins_exactly_only_for_jaccard(self):
+        assert joins_exactly(jaccard)
+        assert not joins_exactly(dice)
 
 
 class TestClusterCachedForms:

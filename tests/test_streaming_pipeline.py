@@ -101,18 +101,6 @@ class TestStreamingBatchEquivalence:
         assert [(p.weight, p.nodes) for p in pipeline.top_k()] == \
             [(p.weight, p.nodes) for p in batch.paths]
 
-    def test_indexed_join_equals_all_pairs(self):
-        corpus = synthetic_corpus(m=4)
-        tops = []
-        for use_simjoin in (False, True):
-            pipeline = StreamingDocumentPipeline(
-                l=2, k=5, gap=1, use_simjoin=use_simjoin)
-            for interval in corpus.interval_indices:
-                pipeline.add_documents(corpus.documents(interval))
-            tops.append([(p.weight, p.nodes)
-                         for p in pipeline.top_k()])
-        assert tops[0] == tops[1]
-
 
 class TestBoundedEviction:
     def test_store_bounded_on_long_stream(self):
@@ -185,6 +173,26 @@ class TestWeightSemantics:
         with pytest.raises(ValueError, match="renormalize"):
             pipe.add_interval(self._clusters(("a", "b")))
 
+    def test_rejected_interval_is_not_ingested(self):
+        """The bound is checked before the stream advances, so a
+        rejected interval leaves neither a node nor a window entry."""
+        pipe = StreamingAffinityPipeline(l=1, k=1,
+                                         affinity=intersection_size)
+        pipe.add_interval(self._clusters(("a", "b")))
+        with pytest.raises(ValueError, match="renormalize"):
+            pipe.add_interval(self._clusters(("a", "b")))
+        assert pipe.stream.num_intervals == 1
+        assert pipe.add_interval(self._clusters(("z",))) == [(1, 0)]
+
+    def test_unbounded_measure_passes_while_weights_fit(self):
+        """The stream checks the weights it sees, not the measure's
+        name: an intersection of one keyword is a weight of 1.0."""
+        pipe = StreamingAffinityPipeline(l=1, k=1,
+                                         affinity=intersection_size)
+        pipe.add_interval(self._clusters(("a", "b")))
+        pipe.add_interval(self._clusters(("a", "c")))
+        assert [p.weight for p in pipe.top_k()] == [1.0]
+
     def test_float_slop_clamped_like_batch(self):
         """Weights a hair above 1.0 are clamped, not rejected — the
         batch graph's EPSILON tolerance (unified semantics)."""
@@ -199,23 +207,13 @@ class TestWeightSemantics:
             window_affinity_edges([], self._clusters(("a",)),
                                   theta=0.0)
 
-    def test_forced_join_requires_jaccard(self):
-        from repro.affinity import dice
-        with pytest.raises(ValueError, match="jaccard"):
-            window_affinity_edges([], self._clusters(("a",)),
-                                  measure=dice, use_simjoin=True)
-
     def test_window_join_matches_direct_measure(self):
         old = self._clusters(("a", "b", "c"), ("x", "y"))
         new = self._clusters(("a", "b", "z"), ("x", "q"))
         window = [([(0, 0), (0, 1)], old)]
-        for force in (True, False):
-            edges = window_affinity_edges(window, new, theta=0.1,
-                                          use_simjoin=force)
-            assert sorted(edges) == [
-                ((0, 0), 0, pytest.approx(jaccard(old[0], new[0]))),
-                ((0, 1), 1, pytest.approx(jaccard(old[1], new[1]))),
-            ]
+        edges = window_affinity_edges(window, new, theta=0.1)
+        assert edges == [((0, 0), 0, jaccard(old[0], new[0])),
+                         ((0, 1), 1, jaccard(old[1], new[1]))]
 
 
 class TestStoreHonoured:
