@@ -65,12 +65,10 @@ stream-demo:
 	$(RUN) examples/stream_corpus.py $(STREAM_DEMO_FILE)
 	$(RUN) -m repro.cli stream $(STREAM_DEMO_FILE) --length 3 -k 3 --gap 1 --follow --explain
 
-# Fan the synthetic week's per-interval stages across two worker
-# processes, end to end through both front ends (batch + stream).
+# Fan the synthetic week's per-interval cluster generation across two
+# worker processes through the batch pipeline (streaming is serial).
 parallel-demo:
 	$(RUN) -m repro.cli demo --workers 2
-	$(RUN) examples/stream_corpus.py $(STREAM_DEMO_FILE)
-	$(RUN) -m repro.cli stream $(STREAM_DEMO_FILE) --length 3 -k 3 --gap 1 --workers 2 --explain
 
 # Corpus -> persistent index -> served queries, end to end through
 # the CLI (the docs/tutorial.md walkthrough at demo scale).

@@ -10,9 +10,8 @@ exact verification.  This benchmark is the refactor's gate:
   workload (sets of diverse sizes, a quarter of each interval
   perturbed copies of the previous one);
 * **equivalence** — verified join results must be byte-identical
-  across a bench-local all-pairs loop, the two-level batch join, the
-  streaming window join (incremental frequency tracker engaged), and
-  the partitioned-parallel driver on 2 worker processes;
+  across a bench-local all-pairs loop, the two-level batch join and
+  the streaming window join (incremental frequency tracker engaged);
 * **trajectory** — ``--json PATH`` writes the headline figures
   (candidate pairs, verified pairs, join throughput, p95 window-join
   latency) as the repo-root ``BENCH_simjoin.json`` artifact that
@@ -40,7 +39,6 @@ from repro.affinity.windowjoin import (
     WindowFrequencyTracker,
     window_affinity_edges,
 )
-from repro.parallel import ProcessExecutor
 
 INTERVALS = 6
 SETS_PER_INTERVAL = 250
@@ -53,8 +51,6 @@ SMOKE_SCALE = dict(intervals=4, per_interval=120, universe=2500)
 # The two-level filter must reject at least this share of the prefix
 # filter's candidate pairs — the acceptance floor of the refactor.
 REDUCTION_FLOOR = 0.40
-
-PARALLEL_WORKERS = 2
 
 
 def signature_workload(intervals: int = INTERVALS,
@@ -196,39 +192,15 @@ def bench_streaming_driver(record, intervals: List[List[frozenset]],
     return p95, stats
 
 
-def bench_partitioned_driver(record,
-                             intervals: List[List[frozenset]],
-                             batch_results: Dict[int, List]) -> None:
-    """The partitioned-parallel window join on 2 worker processes:
-    merged edges must be byte-identical to the serial join's."""
-    experiment = "Two-level simjoin: partitioned driver"
-    expected = _expected_edges(batch_results)
-    started = time.perf_counter()
-    with ProcessExecutor(workers=PARALLEL_WORKERS) as executor:
-        for m in range(1, len(intervals)):
-            window = [(tuple((m - 1, a)
-                             for a in range(len(intervals[m - 1]))),
-                       intervals[m - 1])]
-            edges = window_affinity_edges(
-                window, intervals[m], theta=THRESHOLD,
-                executor=executor)
-            assert edges == expected[m], (
-                f"partitioned window join diverged from the batch "
-                f"join at interval {m}")
-    record(experiment, f"workers={PARALLEL_WORKERS} equivalence",
-           f"identical edges, {time.perf_counter() - started:.3f}s")
-
-
 def run_signature_bench(record: Callable[[str, str, object], None],
                         intervals: int = INTERVALS,
                         per_interval: int = SETS_PER_INTERVAL,
                         universe: int = UNIVERSE) -> dict:
-    """All three drivers; returns the perf-trajectory figures."""
+    """Both drivers; returns the perf-trajectory figures."""
     workload = signature_workload(intervals, per_interval, universe)
     stats, batch_results, throughput = bench_batch_join(record,
                                                         workload)
     p95, _ = bench_streaming_driver(record, workload, batch_results)
-    bench_partitioned_driver(record, workload, batch_results)
     return {
         "workload": {
             "intervals": intervals,

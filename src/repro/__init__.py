@@ -14,8 +14,8 @@ Supporting packages: :mod:`repro.text` (tokenize/stopwords/Porter),
 :mod:`repro.vocab` (keyword interning — the pipeline computes on
 integer ids end-to-end and decodes to strings at the rendering edge),
 :mod:`repro.extsort` (external merge sort), :mod:`repro.storage`
-(paged files, disk dicts, I/O accounting, the compact varint
-node-state codec), :mod:`repro.affinity`
+(disk dicts, state-store backends, record logs, I/O accounting, the
+compact varint node-state codec), :mod:`repro.affinity`
 (cluster overlap measures and threshold similarity join),
 :mod:`repro.datagen` (synthetic blogosphere and cluster graphs),
 :mod:`repro.baselines` (cut clustering, KwikCluster),

@@ -38,9 +38,7 @@ from repro.affinity.simjoin import (
 )
 from repro.affinity.windowjoin import (
     WindowFrequencyTracker,
-    join_partition_task,
     joins_exactly,
-    partition_join_payloads,
     window_affinity_edges,
 )
 
@@ -59,10 +57,8 @@ __all__ = [
     "intersection_size",
     "intersection_size_sorted",
     "jaccard",
-    "join_partition_task",
     "joins_exactly",
     "overlap_coefficient",
-    "partition_join_payloads",
     "required_overlap",
     "share_token_namespace",
     "signature_compatible",

@@ -39,12 +39,10 @@ verified result set (the join is exact).
 
 The building blocks — :func:`global_frequencies`,
 :func:`ordered_prefix`, :func:`token_signature`,
-:func:`signature_compatible`, :func:`verify_jaccard` — are public
-because the partitioned parallel join
-(:mod:`repro.affinity.windowjoin`) must compute the *identical*
-ordering, prefix slice, signatures, and verification to guarantee its
-per-partition results merge into exactly this join's output.  One
-implementation, two drivers.
+:func:`signature_compatible`, :func:`verify_jaccard` — are separate
+functions so each can be tested on its own; the window join
+(:mod:`repro.affinity.windowjoin`) feeds this join an incrementally
+maintained frequency counter equal to :func:`global_frequencies`.
 """
 
 from __future__ import annotations

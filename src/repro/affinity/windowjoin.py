@@ -17,37 +17,18 @@ the global maximum after seeing every edge; a stream cannot revisit
 past edges, so the streaming caller rejects weights outside
 ``(0, 1]`` instead.
 
-Two streaming-specific optimizations live here:
-
-* :class:`WindowFrequencyTracker` maintains the join's global token
-  frequencies *incrementally* — per-interval token-count deltas are
-  added when an interval enters the window and subtracted when it is
-  evicted, instead of recounting every window token on every ingest.
-  The maintained counter is integer-exact, so prefixes (and therefore
-  the join result) are identical to a fresh recount.
-* The partitioned parallel join ships each partition the level-two
-  signatures of the sets it may verify, so worker processes reject
-  candidates with the same length/checksum-band checks the serial
-  join applies — per-partition decisions depend only on the pair's
-  global signatures, which is why the merged result is exactly the
-  serial join's.
+:class:`WindowFrequencyTracker` maintains the join's global token
+frequencies *incrementally* — per-interval token-count deltas are
+added when an interval enters the window and subtracted when it is
+evicted, instead of recounting every window token on every ingest.
+The maintained counter is integer-exact, so prefixes (and therefore
+the join result) are identical to a fresh recount.
 """
 
 from __future__ import annotations
 
-import zlib
-from array import array
 from collections import Counter
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.affinity.measures import (
     TOKEN_SET_MEASURES,
@@ -58,173 +39,11 @@ from repro.affinity.measures import (
 from repro.affinity.simjoin import (
     SIMJOIN_CUTOFF,
     JoinStats,
-    Signature,
-    Token,
-    global_frequencies,
-    join_buffers,
-    ordered_prefix,
-    signature_compatible,
     threshold_jaccard_join,
-    token_signature,
-    verify_jaccard,
-    verify_jaccard_sorted,
 )
 
 NodeId = Tuple[int, int]
 WindowEntry = Tuple[Sequence[NodeId], Sequence]
-
-# One partitioned-join work item: probe list (left index, its prefix
-# tokens in this partition), the partition's inverted index over the
-# right side's prefixes, the verification forms either side needs
-# (sorted id buffers on the production path, frozensets on the string
-# fallback), the level-two signatures of both sides, and the
-# threshold.  Everything is builtin types — interned id sets on the
-# production path, so payloads pickle to worker processes without a
-# single keyword string.
-VerifyForm = Union[FrozenSet[Token], Sequence[int]]
-JoinPartition = Tuple[
-    List[Tuple[int, List[Token]]],
-    Dict[Token, Sequence[int]],
-    Dict[int, VerifyForm],
-    Dict[int, VerifyForm],
-    Dict[int, Signature],
-    Dict[int, Signature],
-    float,
-]
-
-
-def _token_partition(token: Token, num_partitions: int) -> int:
-    """Deterministic token -> partition assignment.  Interned ids
-    route by value; strings by crc32 (not ``hash()``, which is salted
-    per process)."""
-    if isinstance(token, int):
-        return token % num_partitions
-    return zlib.crc32(token.encode("utf-8")) % num_partitions
-
-
-def join_partition_task(payload: JoinPartition
-                        ) -> List[Tuple[int, int, float]]:
-    """Verify one index-token partition of the prefix-filter join.
-
-    Pure and picklable: the unit of work a
-    :class:`~repro.parallel.ProcessExecutor` receives.  Candidates are
-    pairs sharing a prefix token *assigned to this partition*; the
-    shipped level-two signatures reject length- or band-incompatible
-    pairs exactly as the serial join does, and verification computes
-    the exact Jaccard — so any pair this returns is correct, and any
-    qualifying pair survives the signature checks in *every* partition
-    that discovers it (the checks depend only on the pair's global
-    signatures).  Partitioning affects only which partition(s)
-    discover a pair.
-    """
-    (probes, postings, left_forms, right_forms,
-     left_sigs, right_sigs, threshold) = payload
-    results: List[Tuple[int, int, float]] = []
-    for i, tokens in probes:
-        candidates = set()
-        for token in tokens:
-            candidates.update(postings.get(token, ()))
-        if not candidates:
-            continue
-        form = left_forms[i]
-        galloping = not isinstance(form, (frozenset, set))
-        signature = left_sigs[i]
-        for j in sorted(candidates):
-            if not signature_compatible(signature, right_sigs[j],
-                                        threshold):
-                continue
-            if galloping:
-                similarity = verify_jaccard_sorted(form, right_forms[j])
-            else:
-                similarity = verify_jaccard(form, right_forms[j])
-            if similarity >= threshold:
-                results.append((i, j, similarity))
-    return results
-
-
-def partition_join_payloads(left_sets: Sequence[FrozenSet[Token]],
-                            right_sets: Sequence[FrozenSet[Token]],
-                            threshold: float,
-                            num_partitions: int,
-                            frequency: Optional[Counter] = None
-                            ) -> List[JoinPartition]:
-    """Split the prefix-filter join into per-token-partition payloads.
-
-    Ordering and prefix lengths come from the same
-    :func:`~repro.affinity.simjoin.ordered_prefix` /
-    :func:`~repro.affinity.simjoin.global_frequencies` helpers the
-    serial join uses, computed once here against the *global* token
-    frequencies (they must agree across partitions for the prefix
-    filter to stay complete; ``frequency`` may supply an incrementally
-    maintained counter); each prefix token then routes its postings
-    and probes to :func:`_token_partition` (``id % num_partitions``
-    for interned ids, crc32 for strings).  A qualifying pair shares at
-    least one prefix token, so it is discovered by at least the
-    partition that token maps to; a pair sharing prefix tokens in
-    several partitions is found by each — with the same exact weight,
-    after the same global-signature checks — and deduplicated on
-    merge.  The merged result is therefore *exactly* the serial
-    join's.
-
-    Payloads carry each side's verification form (sorted ``array('I')``
-    id buffers when the whole collection is interned, frozensets
-    otherwise — matching the serial join's representation choice) and
-    the level-two signatures of every set a partition may probe.
-    """
-    if frequency is None:
-        frequency = global_frequencies(left_sets, right_sets)
-
-    def prefix(item: FrozenSet[Token]) -> List[Token]:
-        return ordered_prefix(item, frequency, threshold)
-
-    left_buffers = join_buffers(left_sets)
-    right_buffers = join_buffers(right_sets) \
-        if left_buffers is not None else None
-    galloping = right_buffers is not None
-
-    def form(side_sets, side_buffers, index):
-        return side_buffers[index] if galloping else side_sets[index]
-
-    left_signatures = [token_signature(item) for item in left_sets]
-    right_signatures = [token_signature(item) for item in right_sets]
-
-    probes: List[List[Tuple[int, List[Token]]]] = \
-        [[] for _ in range(num_partitions)]
-    postings: List[Dict[Token, array]] = \
-        [{} for _ in range(num_partitions)]
-    right_needed: List[set] = [set() for _ in range(num_partitions)]
-    for j, item in enumerate(right_sets):
-        for token in prefix(item):
-            p = _token_partition(token, num_partitions)
-            bucket = postings[p].get(token)
-            if bucket is None:
-                bucket = postings[p][token] = array("I")
-            bucket.append(j)
-            right_needed[p].add(j)
-    for i, item in enumerate(left_sets):
-        by_partition: Dict[int, List[Token]] = {}
-        for token in prefix(item):
-            p = _token_partition(token, num_partitions)
-            if postings[p].get(token):
-                by_partition.setdefault(p, []).append(token)
-        for p, tokens in by_partition.items():
-            probes[p].append((i, tokens))
-
-    payloads: List[JoinPartition] = []
-    for p in range(num_partitions):
-        if not probes[p]:
-            continue
-        left_slice = {i: form(left_sets, left_buffers, i)
-                      for i, _ in probes[p]}
-        right_slice = {j: form(right_sets, right_buffers, j)
-                       for j in right_needed[p]}
-        left_sig_slice = {i: left_signatures[i] for i, _ in probes[p]}
-        right_sig_slice = {j: right_signatures[j]
-                           for j in right_needed[p]}
-        payloads.append((probes[p], postings[p], left_slice,
-                         right_slice, left_sig_slice, right_sig_slice,
-                         threshold))
-    return payloads
 
 
 class WindowFrequencyTracker:
@@ -301,8 +120,6 @@ def window_affinity_edges(window: Sequence[WindowEntry],
                           clusters: Sequence,
                           measure: Callable = jaccard,
                           theta: float = 0.1,
-                          executor=None,
-                          num_partitions: Optional[int] = None,
                           frequency_tracker: Optional[
                               WindowFrequencyTracker] = None,
                           join_stats: Optional[JoinStats] = None
@@ -326,14 +143,7 @@ def window_affinity_edges(window: Sequence[WindowEntry],
     maintains the global token frequencies incrementally across
     ingests; without one, every engaged join recounts the window.
     ``join_stats`` accumulates the two-level filter's candidate /
-    verified counters for the serial engaged join (the partitioned
-    path reports totals per worker, not here).
-
-    ``executor`` (a :class:`~repro.parallel.Executor` with more than
-    one worker) additionally partitions the engaged join by index
-    token across *num_partitions* pieces (default: the executor's
-    worker count) and merges the per-partition results exactly — same
-    edges, same order, parallel wall-clock.
+    verified counters for the engaged join.
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must be in (0, 1], got {theta}")
@@ -371,20 +181,9 @@ def window_affinity_edges(window: Sequence[WindowEntry],
     if frequency_tracker is not None:
         frequency = frequency_tracker.frequencies(
             window, window_sets, new_sets, decoded)
-    if executor is not None and executor.workers > 1:
-        pieces = num_partitions or executor.workers
-        payloads = partition_join_payloads(old_sets, new_sets, theta,
-                                           pieces, frequency=frequency)
-        merged: Dict[Tuple[int, int], float] = {}
-        for results in executor.map_stages(join_partition_task,
-                                           payloads):
-            for a, b, weight in results:
-                merged[(a, b)] = weight
-        matches = [(a, b, merged[(a, b)]) for a, b in sorted(merged)]
-    else:
-        matches = threshold_jaccard_join(old_sets, new_sets, theta,
-                                         stats=join_stats,
-                                         frequency=frequency)
+    matches = threshold_jaccard_join(old_sets, new_sets, theta,
+                                     stats=join_stats,
+                                     frequency=frequency)
     for a, b, weight in matches:
         # The join is >= theta; the paper keeps > theta.
         if weight > theta:

@@ -18,8 +18,8 @@ Subcommands (all documented in ``docs/cli.md``):
   measures a DBLP-XML/JSONL/CSV file (ingest report + per-interval
   histogram), ``ingest`` converts any of those formats to the
   canonical JSONL wire format; the same adapters mount on
-  ``stable``/``stream``/``index build``/``explain`` via ``--corpus
-  FILE --format dblp|jsonl|csv``.
+  ``stable``/``stream``/``index build`` via ``--corpus FILE --format
+  dblp|jsonl|csv``.
 * ``index`` — ``build`` a persistent cluster index from a corpus,
   ``inspect`` an existing one (``--segments`` lists the live segment
   tier), or ``merge`` (compact) its sealed segments.
@@ -33,7 +33,7 @@ Subcommands (all documented in ``docs/cli.md``):
   batching.
 * ``explain`` — print the planner's decision for a described workload
   (graph shape + query) without running anything; ``--serve`` adds
-  the serving dimension (cache split + hit-rate forecast).
+  the cache split and admission bound ``serve`` would run with.
 * ``bench-graph`` — generate a Section 5.2 synthetic cluster graph and
   time any set of registered solvers on it.
 
@@ -54,6 +54,7 @@ import signal
 import sys
 import tempfile
 import time
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.datagen import (
@@ -76,15 +77,9 @@ from repro.corpus import (
     open_adapter,
 )
 from repro.engine import (
-    CorpusStats,
     GraphStats,
     StableQuery,
-    apply_corpus_dimension,
-    apply_distributed_dimension,
-    apply_index_dimension,
     apply_serving_dimension,
-    estimate_corpus_graph,
-    estimate_index_bytes,
     explain as plan_query,
     get_solver,
     plan_streaming,
@@ -283,8 +278,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     streaming ingestion pipeline (Section 4.6 serving mode)."""
     query = StableQuery(problem=args.problem, l=args.length,
                         k=args.k, gap=args.gap,
-                        memory_budget=_memory_budget_bytes(args),
-                        workers=args.workers)
+                        memory_budget=_memory_budget_bytes(args))
     if args.solver not in ("auto", query.streaming_solver):
         raise ValueError(
             f"solver {args.solver!r} cannot stream "
@@ -326,10 +320,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
             execution.num_shards = 4
         execution.reasons.append(
             f"backend {args.backend!r} forced by --backend")
-    if args.index_dir is not None:
-        execution.index_dir = args.index_dir
-        apply_index_dimension(execution, graph_stats,
-                              flush_intervals=args.flush_intervals)
+    execution.index_dir = args.index_dir
     if args.explain:
         print(execution.explain())
         print()
@@ -348,9 +339,6 @@ def cmd_stream(args: argparse.Namespace) -> int:
                 execution.backend, directory=state_dir,
                 num_shards=execution.num_shards,
                 compact_garbage_bytes=execution.compact_garbage_bytes)
-        # from_query forwards the query's --workers request; the
-        # plan's clamped figure is an estimate from the first
-        # interval's shape, not a cap on later (larger) intervals.
         pipeline = StreamingDocumentPipeline.from_query(
             query, rho_threshold=args.rho, theta=args.theta,
             store=store, index_dir=args.index_dir,
@@ -406,44 +394,48 @@ def cmd_explain(args: argparse.Namespace) -> int:
         return 2
     query = StableQuery(problem=args.problem, l=length,
                         k=args.k, gap=args.gap, workers=args.workers)
-    corpus_stats = None
-    if args.corpus is not None:
-        # Measure the real source instead of trusting -m/-n/-d: the
-        # corpus dimension feeds the planner an estimated graph shape.
-        adapter = _corpus_adapter(args)
-        corpus = IntervalCorpus.from_adapter(adapter)
-        corpus_stats = CorpusStats.measure(corpus,
-                                           source=adapter.source_name,
-                                           format=adapter.format_name)
-        graph_stats = estimate_corpus_graph(corpus_stats, gap=args.gap)
-    else:
-        graph_stats = GraphStats(
-            num_intervals=args.m, max_interval_nodes=args.n,
-            avg_out_degree=float(args.d), gap=args.gap,
-            num_nodes=args.m * args.n,
-            num_edges=int(args.m * args.n * args.d))
+    graph_stats = GraphStats(
+        num_intervals=args.m, max_interval_nodes=args.n,
+        avg_out_degree=float(args.d), gap=args.gap,
+        num_nodes=args.m * args.n,
+        num_edges=int(args.m * args.n * args.d))
     execution = plan_query(graph_stats, query,
                            memory_budget=_memory_budget_bytes(args))
-    if corpus_stats is not None:
-        apply_corpus_dimension(execution, corpus_stats)
-    if args.index_dir is not None:
-        # Forecast the persistent-index cost for this shape the same
-        # way the window estimate forecasts memory.
-        execution.index_dir = args.index_dir
-        execution.index_bytes = estimate_index_bytes(graph_stats)
-        execution.reasons.append(
-            "index size estimated from m*n cluster records "
-            "(measured after a real run)")
-        apply_index_dimension(execution, graph_stats,
-                              flush_intervals=args.flush_intervals)
     if args.serve:
-        apply_serving_dimension(execution, graph_stats,
-                                skew=args.skew)
-    if args.shards:
-        apply_distributed_dimension(execution, graph_stats,
-                                    args.shards)
+        apply_serving_dimension(execution)
     print(execution.explain())
     return 0
+
+
+@dataclass(frozen=True)
+class CorpusStats:
+    """Measured shape of an ingested corpus (documents, not clusters)."""
+
+    num_intervals: int
+    num_documents: int
+    max_interval_documents: int
+    source: str = ""
+    format: str = ""
+
+    @classmethod
+    def measure(cls, corpus, source: str = "",
+                format: str = "") -> "CorpusStats":
+        """Measure an :class:`~repro.text.IntervalCorpus` (one pass)."""
+        sizes = [len(corpus.documents(i))
+                 for i in corpus.interval_indices]
+        return cls(num_intervals=corpus.num_intervals,
+                   num_documents=corpus.num_documents,
+                   max_interval_documents=max(sizes) if sizes else 0,
+                   source=source, format=format)
+
+    def describe(self) -> str:
+        """Compact one-line rendering."""
+        where = f" from {self.source}" if self.source else ""
+        label = f" ({self.format})" if self.format else ""
+        return (f"{self.num_documents} docs over "
+                f"{self.num_intervals} intervals, max "
+                f"{self.max_interval_documents}/interval"
+                f"{where}{label}")
 
 
 def cmd_corpus_stats(args: argparse.Namespace) -> int:
@@ -485,16 +477,7 @@ def cmd_bench_graph(args: argparse.Namespace) -> int:
                                     g=args.gap, seed=args.seed)
     print(f"graph: {graph}")
     length = args.length if args.length else graph.num_intervals - 1
-    query = StableQuery(problem="kl", l=length, k=args.k, gap=args.gap,
-                        workers=args.workers)
-    if args.workers is not None:
-        # The parallel stages (generation, window join) never run
-        # here — bench-graph starts from a pre-built cluster graph —
-        # so the request only shapes the reported plan.  Say so
-        # rather than letting identical timings mislead.
-        print("note: bench-graph times solvers on a pre-built graph; "
-              "--workers affects the plan dimension only, not these "
-              "timings")
+    query = StableQuery(problem="kl", l=length, k=args.k, gap=args.gap)
     names = [name.strip() for name in args.solvers.split(",")
              if name.strip()]
     for name in names:
@@ -799,8 +782,8 @@ def _workers_parent() -> argparse.ArgumentParser:
     parent.add_argument("--workers", type=int, default=None,
                         metavar="N",
                         help="parallel worker processes for the "
-                             "per-partition stages (0 = all cores; "
-                             "default: serial)")
+                             "per-interval and per-shard batch stages "
+                             "(0 = all cores; default: serial)")
     return parent
 
 
@@ -944,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     stream = sub.add_parser(
         "stream",
         help="incremental top-k maintenance over a JSONL stream",
-        parents=[shape, generation, workers, corpus_source])
+        parents=[shape, generation, corpus_source])
     stream.add_argument("input", nargs="?", default=None,
                         help="JSONL file of posts, replayed interval "
                              "by interval (or use --corpus)")
@@ -1138,7 +1121,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain = sub.add_parser(
         "explain",
         help="print the planner's decision for a workload shape",
-        parents=[graph_shape, workers, corpus_source])
+        parents=[graph_shape, workers])
     explain.add_argument("--problem", choices=["kl", "normalized"],
                          default="kl",
                          help="Problem 1 (kl) or Problem 2 "
@@ -1146,36 +1129,15 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("--memory-budget", type=float, default=None,
                          metavar="MIB",
                          help="planner memory budget in MiB")
-    explain.add_argument("--index-dir", default=None, metavar="DIR",
-                         help="also forecast the persistent-index "
-                              "size for this shape")
-    explain.add_argument("--flush-intervals", type=int, default=None,
-                         metavar="N",
-                         help="with --index-dir: forecast the "
-                              "segment tier for a streamed index "
-                              "sealed every N intervals (default: "
-                              "one batch segment)")
     explain.add_argument("--serve", action="store_true",
-                         help="also plan the serving tier: cache "
-                              "budget split, admission bound, and a "
-                              "refine hit-rate forecast from keyword "
-                              "skew")
-    explain.add_argument("--skew", type=float, default=1.0,
-                         metavar="S",
-                         help="with --serve: Zipf exponent of the "
-                              "query-keyword popularity (1.0 = "
-                              "classic web-query skew)")
-    explain.add_argument("--shards", type=int, default=0,
-                         metavar="N",
-                         help="also plan distributed scatter-gather "
-                              "over N shard workers: fan-out width, "
-                              "per-worker working set, merge "
-                              "fan-in, hedging budget")
+                         help="also plan the serving tier: the cache "
+                              "budget split and admission bound "
+                              "`serve` runs with")
     explain.set_defaults(func=cmd_explain)
 
     bench = sub.add_parser("bench-graph",
                            help="time solvers on a synthetic graph",
-                           parents=[graph_shape, workers])
+                           parents=[graph_shape])
     bench.add_argument("--seed", type=int, default=1,
                        help="random seed for the synthetic graph")
     bench.add_argument("--solvers", default="bfs,dfs",

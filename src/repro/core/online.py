@@ -180,24 +180,19 @@ class StreamingAffinityPipeline:
     weight semantics — edges above θ, weights in ``(0, 1]``; an
     unbounded measure raises instead of being silently clamped, since
     a stream cannot normalize by a maximum it has not seen.  ``store``
-    is forwarded to the underlying maintainer.  ``executor`` (a
-    :class:`~repro.parallel.Executor`; not owned, the caller closes it)
-    partitions the engaged join by index token across its workers —
-    edges are executor-invariant.
+    is forwarded to the underlying maintainer.
     """
 
     def __init__(self, l: int, k: int, gap: int = 0,
                  affinity: Optional[Callable] = None,
                  theta: float = 0.1,
                  mode: str = "kl",
-                 store: Optional[StateStore] = None,
-                 executor=None) -> None:
+                 store: Optional[StateStore] = None) -> None:
         from repro.affinity import jaccard
         if not 0.0 < theta <= 1.0:
             raise ValueError(f"theta must be in (0, 1], got {theta}")
         self.affinity = affinity if affinity is not None else jaccard
         self.theta = theta
-        self.executor = executor
         self.stream = StreamingStableClusters(l=l, k=k, gap=gap,
                                               mode=mode, store=store)
         self.last_num_edges = 0
@@ -213,7 +208,7 @@ class StreamingAffinityPipeline:
         the recent window are computed here."""
         edges = window_affinity_edges(
             self._recent, clusters, measure=self.affinity,
-            theta=self.theta, executor=self.executor,
+            theta=self.theta,
             frequency_tracker=self.frequency_tracker,
             join_stats=self.join_stats)
         self._check_bounded(edges)

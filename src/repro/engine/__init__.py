@@ -29,22 +29,13 @@ from repro.engine.engine import (
     solve_report,
 )
 from repro.engine.planner import (
-    CorpusStats,
     ExecutionPlan,
     GraphStats,
-    apply_corpus_dimension,
-    apply_distributed_dimension,
-    apply_index_dimension,
     apply_serving_dimension,
     apply_worker_dimension,
     estimate_annotation_bytes,
-    estimate_corpus_graph,
-    estimate_index_bytes,
-    estimate_index_segments,
-    estimate_serving_working_set,
     estimate_ta_probes,
     estimate_window_bytes,
-    forecast_serving_hit_rate,
     plan,
     plan_streaming,
     split_serving_budget,
@@ -66,7 +57,6 @@ __all__ = [
     "AUTO",
     "BFSSolver",
     "BruteforceSolver",
-    "CorpusStats",
     "DFSSolver",
     "ExecutionPlan",
     "GraphStats",
@@ -77,20 +67,12 @@ __all__ = [
     "SolverStats",
     "StableQuery",
     "TASolver",
-    "apply_corpus_dimension",
-    "apply_distributed_dimension",
-    "apply_index_dimension",
     "apply_serving_dimension",
     "apply_worker_dimension",
     "estimate_annotation_bytes",
-    "estimate_corpus_graph",
-    "estimate_index_bytes",
-    "estimate_index_segments",
-    "estimate_serving_working_set",
     "estimate_ta_probes",
     "estimate_window_bytes",
     "explain",
-    "forecast_serving_hit_rate",
     "get_solver",
     "plan",
     "plan_streaming",

@@ -16,7 +16,6 @@ renders the decision the way database EXPLAIN statements do.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -48,24 +47,6 @@ MAX_SHARDS = 16
 # Dead bytes a shard may accumulate before it compacts itself.
 COMPACT_GARBAGE_BYTES = SHARD_TARGET_BYTES
 
-# Two-level similarity-join cost model (Section 4.1 edge build):
-# share of an interval pair's n² comparisons the prefix filter emits
-# as candidates, and the share of those candidates the level-two
-# signature (length band + checksum band) passes on to exact
-# verification.  Calibrated against bench_simjoin_signatures, whose
-# reduction floor (>= 40% of candidates rejected) keeps the second
-# constant honest.
-PREFIX_CANDIDATE_FRACTION = 0.25
-SIGNATURE_VERIFY_FRACTION = 0.6
-
-# Persistent-index cost model (varint-codec record sizes, measured at
-# bench scale; the estimate only needs to be proportionally right).
-INDEX_KEYWORDS_PER_CLUSTER = 8   # typical biconnected component
-INDEX_TOKEN_BYTES = 3            # varint id in a cluster record
-INDEX_EDGE_BYTES = 14            # two varint ids + float64 rho
-INDEX_POSTING_BYTES = 4          # id -> cluster-list entry
-INDEX_RECORD_OVERHEAD = 10       # frame + crc + tuple headers
-
 # Serving-tier cost model (the repro.serving HTTP layer): how a
 # --memory-budget splits between the two read caches and the
 # per-request working memory that bounds the admission pool.
@@ -82,17 +63,6 @@ SERVING_MAX_INFLIGHT = 128
 SERVING_DEFAULT_HOT = 256
 SERVING_DEFAULT_CLUSTERS = 1024
 SERVING_DEFAULT_INFLIGHT = 32
-SERVING_DEFAULT_SKEW = 1.0       # Zipf exponent of keyword popularity
-
-# Corpus-ingest cost model (explain --corpus): how a measured corpus
-# shape maps onto the paper's graph shape before any clustering runs.
-# Section 3 keeps only chi-square-significant biconnected components,
-# so clusters are far sparser than documents; the divisor is
-# calibrated against the synthetic-week demo corpus and the DBLP
-# fixture (both land within 2x).
-CORPUS_DOCS_PER_CLUSTER = 60
-CORPUS_DEFAULT_DEGREE = 3.0      # d when no graph has been built yet
-
 
 @dataclass(frozen=True)
 class GraphStats:
@@ -126,83 +96,6 @@ class GraphStats:
                 f"nodes={self.num_nodes} edges={self.num_edges}")
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    """Measured shape of an ingested corpus (documents, not clusters).
-
-    The corpus analogue of :class:`GraphStats`: what ``explain
-    --corpus`` measures from a real source before any clustering has
-    run, and what :func:`estimate_corpus_graph` turns into an
-    expected graph shape.
-    """
-
-    num_intervals: int
-    num_documents: int
-    max_interval_documents: int
-    source: str = ""
-    format: str = ""
-
-    @classmethod
-    def measure(cls, corpus, source: str = "",
-                format: str = "") -> "CorpusStats":
-        """Measure an :class:`~repro.text.IntervalCorpus` (one pass)."""
-        sizes = [len(corpus.documents(i))
-                 for i in corpus.interval_indices]
-        return cls(num_intervals=corpus.num_intervals,
-                   num_documents=corpus.num_documents,
-                   max_interval_documents=max(sizes) if sizes else 0,
-                   source=source, format=format)
-
-    def describe(self) -> str:
-        """Compact rendering for explain output."""
-        where = f" from {self.source}" if self.source else ""
-        label = f" ({self.format})" if self.format else ""
-        return (f"{self.num_documents} docs over "
-                f"{self.num_intervals} intervals, max "
-                f"{self.max_interval_documents}/interval"
-                f"{where}{label}")
-
-
-def estimate_corpus_graph(corpus_stats: CorpusStats,
-                          gap: int = 0) -> GraphStats:
-    """Forecast the cluster-graph shape a corpus will generate.
-
-    Scales document counts down by :data:`CORPUS_DOCS_PER_CLUSTER`
-    (Section 3 keeps only significant biconnected components) and
-    assumes :data:`CORPUS_DEFAULT_DEGREE` window-join connectivity —
-    enough for the Section-4 memory model to size windows and
-    backends before the expensive stages run.
-    """
-    m = corpus_stats.num_intervals
-    n = max(1, int(math.ceil(corpus_stats.max_interval_documents
-                             / CORPUS_DOCS_PER_CLUSTER)))
-    nodes = max(1, int(math.ceil(corpus_stats.num_documents
-                                 / CORPUS_DOCS_PER_CLUSTER)))
-    if m < 1:
-        return GraphStats(num_intervals=0, max_interval_nodes=0,
-                          avg_out_degree=0.0, gap=gap)
-    return GraphStats(num_intervals=m, max_interval_nodes=n,
-                      avg_out_degree=CORPUS_DEFAULT_DEGREE, gap=gap,
-                      num_nodes=nodes,
-                      num_edges=int(nodes * CORPUS_DEFAULT_DEGREE))
-
-
-def apply_corpus_dimension(result: "ExecutionPlan",
-                           corpus_stats: CorpusStats) -> None:
-    """Record a measured corpus shape on a plan (``explain --corpus``).
-
-    The graph estimate itself is produced by
-    :func:`estimate_corpus_graph` and fed to the planner as its
-    ``graph_stats``; this dimension keeps the measured document
-    counts visible alongside it and says how they were scaled.
-    """
-    result.corpus_stats = corpus_stats
-    result.reasons.append(
-        f"graph shape estimated from the measured corpus: "
-        f"~{CORPUS_DOCS_PER_CLUSTER} docs/cluster "
-        f"(Section-3 pruning), d={CORPUS_DEFAULT_DEGREE:g} assumed")
-
-
 @dataclass
 class ExecutionPlan:
     """The planner's decision: solver, backend, and sizing.
@@ -223,55 +116,24 @@ class ExecutionPlan:
     memory_budget: Optional[int] = None
     query: Optional[StableQuery] = None
     graph_stats: Optional[GraphStats] = None
-    # Corpus dimension (apply_corpus_dimension): the measured document
-    # shape a real source was found to have, when the plan's graph
-    # stats are an estimate_corpus_graph forecast rather than a
-    # measured graph.  None = the plan was made from graph shape
-    # directly.
-    corpus_stats: Optional[CorpusStats] = None
     # Interned-keyword count of the run's corpus vocabulary; filled in
     # by pipelines once generation has run (the planner cannot know it
     # up front).  None = no vocabulary measured for this plan.
     vocab_size: Optional[int] = None
-    # Persistent-index cost dimension: where the run serialized its
-    # clusters/postings/paths and how many log bytes that took.
-    # Filled in by the pipelines after the write (like vocab_size);
-    # None = the run was not asked to persist an index.
+    # Persistent index: where the run serialized its clusters/postings/
+    # paths, how many log bytes that took and how many segments the
+    # tier holds.  Filled in by the pipelines after the write (like
+    # vocab_size); None = the run was not asked to persist an index.
     index_dir: Optional[str] = None
     index_bytes: Optional[int] = None
-    # Segment-lifecycle dimension of the persistent index: how many
-    # segments the run leaves in the tier (estimated up front via
-    # apply_index_dimension, overwritten with the measured count
-    # after the write), and the log bytes a size-tiered compaction
-    # is expected to rewrite once the segment count passes the merge
-    # policy's trigger.  None = no index dimension planned.
     index_segments: Optional[int] = None
-    index_merge_bytes: Optional[int] = None
-    # Similarity-join cost dimension: estimated prefix-filter
-    # candidate pairs per interval window, and how many of them the
-    # two-level signature is expected to pass to exact verification.
-    # None = graph shape unknown (no estimate possible).
-    join_candidate_pairs: Optional[int] = None
-    join_verified_pairs: Optional[int] = None
     # Serving dimension (apply_serving_dimension): how the HTTP tier's
     # cache budget splits into hot-keyword answers and decoded cluster
-    # records, the admission pool that bounds in-flight requests, and
-    # the refine hit rate forecast from the keyword skew against the
-    # hot working set.  None = no serving tier planned.
+    # records, and the admission pool that bounds in-flight requests
+    # (the split ``serve`` runs).  None = no serving tier planned.
     serving_hot_entries: Optional[int] = None
     serving_cluster_entries: Optional[int] = None
     serving_max_inflight: Optional[int] = None
-    serving_hot_keywords: Optional[int] = None
-    serving_hit_rate: Optional[float] = None
-    # Distributed scatter-gather dimension (apply_distributed_
-    # dimension): fan-out width of the shard worker pool, each
-    # worker's share of the index working set, the partial answers
-    # merged per query, and the straggler budget before a partial is
-    # hedged to its replica worker.  None = queries stay in-process.
-    distributed_workers: Optional[int] = None
-    distributed_worker_bytes: Optional[int] = None
-    distributed_merge_fanin: Optional[int] = None
-    distributed_hedge_ms: Optional[float] = None
     reasons: List[str] = field(default_factory=list)
 
     def explain(self) -> str:
@@ -279,8 +141,6 @@ class ExecutionPlan:
         lines = ["execution plan"]
         if self.query is not None:
             lines.append(f"  query:    {self.query.describe()}")
-        if self.corpus_stats is not None:
-            lines.append(f"  corpus:   {self.corpus_stats.describe()}")
         if self.graph_stats is not None:
             lines.append(f"  graph:    {self.graph_stats.describe()}")
         if self.vocab_size is not None:
@@ -309,39 +169,14 @@ class ExecutionPlan:
                 f"  index:    {size} persisted at {self.index_dir} "
                 f"(clusters + keyword postings + stable paths)")
         if self.index_segments is not None:
-            segments = (f"  segments: {self.index_segments} in the "
-                        f"index's tier")
-            if self.index_merge_bytes:
-                segments += (f", ~"
-                             f"{_human_bytes(self.index_merge_bytes)}"
-                             f" size-tiered merge rewrite expected")
-            lines.append(segments)
-        if self.join_candidate_pairs is not None:
-            lines.append(
-                f"  join:     ~{self.join_candidate_pairs} candidate "
-                f"pairs/interval window, ~{self.join_verified_pairs} "
-                f"verified (two-level signature filter)")
+            lines.append(f"  segments: {self.index_segments} in the "
+                         f"index's tier")
         if self.serving_hot_entries is not None:
             lines.append(
                 f"  serving:  {self.serving_hot_entries} hot answers "
                 f"+ {self.serving_cluster_entries} cluster records "
                 f"cached, {self.serving_max_inflight} in-flight "
                 f"requests admitted")
-            lines.append(
-                f"            ~{self.serving_hot_keywords} keyword "
-                f"working set -> "
-                f"~{100 * (self.serving_hit_rate or 0):.0f}% refine "
-                f"hit-rate forecast")
-        if self.distributed_workers is not None:
-            lines.append(
-                f"  shards:   {self.distributed_workers} "
-                f"scatter-gather workers, "
-                f"~{_human_bytes(self.distributed_worker_bytes or 0)}"
-                f" working set each")
-            lines.append(
-                f"            {self.distributed_merge_fanin} partial "
-                f"answers merged/query, stragglers hedged after "
-                f"{self.distributed_hedge_ms or 0:.0f}ms")
         if self.workers > 1:
             # The plan fixes the degree, not the pool kind — a caller
             # may supply a thread executor instead of the default
@@ -404,137 +239,6 @@ def estimate_annotation_bytes(query: StableQuery,
     return int(per_window * m / (graph_stats.gap + 1))
 
 
-def estimate_index_bytes(graph_stats: GraphStats) -> int:
-    """Estimate a run's persistent-index size on disk.
-
-    Each of the ~``m * n`` clusters costs one record (keywords as
-    varint ids plus supporting edges) and one posting entry per
-    keyword; the token table and path log are small by comparison and
-    folded into the per-record overhead.
-    """
-    clusters = graph_stats.num_nodes or (
-        graph_stats.num_intervals * graph_stats.max_interval_nodes)
-    per_cluster = (
-        INDEX_RECORD_OVERHEAD
-        + INDEX_KEYWORDS_PER_CLUSTER
-        * (INDEX_TOKEN_BYTES + INDEX_POSTING_BYTES)
-        + INDEX_KEYWORDS_PER_CLUSTER * INDEX_EDGE_BYTES)
-    return clusters * per_cluster
-
-
-# Trigger mirrored from repro.index.merge.MergePolicy (the planner
-# stays below the index package in the layering, so the default is
-# restated rather than imported).
-INDEX_MERGE_MAX_SEGMENTS = 4
-
-
-def estimate_index_segments(graph_stats: GraphStats,
-                            flush_intervals: Optional[int] = None
-                            ) -> int:
-    """Segments a run is expected to leave in the index tier.
-
-    A batch run seals one segment at finalize; a streaming run seals
-    one every *flush_intervals* ingested intervals (``None`` = no
-    periodic flush, a single close-time segment).
-    """
-    m = max(1, graph_stats.num_intervals)
-    if not flush_intervals:
-        return 1
-    return max(1, math.ceil(m / flush_intervals))
-
-
-def apply_index_dimension(result: ExecutionPlan,
-                          graph_stats: GraphStats,
-                          flush_intervals: Optional[int] = None
-                          ) -> None:
-    """Record the segment-count/merge-cost estimate on a plan.
-
-    Called when the run will maintain a persistent index; the merge
-    rewrite estimate covers the whole index volume once the expected
-    segment count passes the size-tiered trigger (compaction copies
-    every surviving record of its inputs).
-    """
-    segments = estimate_index_segments(graph_stats, flush_intervals)
-    result.index_segments = segments
-    if segments > INDEX_MERGE_MAX_SEGMENTS:
-        result.index_merge_bytes = estimate_index_bytes(graph_stats)
-        result.reasons.append(
-            f"~{segments} index segments exceed the merge policy's "
-            f"{INDEX_MERGE_MAX_SEGMENTS}: size-tiered compaction "
-            f"will rewrite "
-            f"~{_human_bytes(result.index_merge_bytes)}")
-    else:
-        result.index_merge_bytes = 0
-
-
-def estimate_join_candidates(graph_stats: GraphStats
-                             ) -> Tuple[int, int]:
-    """Estimate one interval's similarity-join verification work.
-
-    Joining a new interval's ``n`` clusters against the ``g + 1``
-    resident window intervals compares up to ``n² * (g + 1)`` pairs;
-    the prefix filter emits :data:`PREFIX_CANDIDATE_FRACTION` of them
-    as candidates, and the level-two signature passes
-    :data:`SIGNATURE_VERIFY_FRACTION` of those on to exact
-    verification.  Returns ``(candidate_pairs, verified_pairs)``.
-    """
-    n = graph_stats.max_interval_nodes
-    pairs = n * n * (graph_stats.gap + 1)
-    candidates = int(math.ceil(pairs * PREFIX_CANDIDATE_FRACTION))
-    verified = int(math.ceil(candidates * SIGNATURE_VERIFY_FRACTION))
-    return candidates, verified
-
-
-def apply_join_dimension(result: ExecutionPlan,
-                         graph_stats: GraphStats) -> None:
-    """Record the join-candidate estimate on a plan.
-
-    Shared between the batch and streaming planners; skipped for
-    shapes with no per-interval clusters to join.
-    """
-    if graph_stats.max_interval_nodes < 1:
-        return
-    candidates, verified = estimate_join_candidates(graph_stats)
-    result.join_candidate_pairs = candidates
-    result.join_verified_pairs = verified
-
-
-def estimate_serving_working_set(graph_stats: GraphStats) -> int:
-    """Distinct stems with a cluster in one serving interval.
-
-    Refinement queries target one interval at a time (the latest, for
-    a live index), so the hot-keyword working set is that interval's
-    keyword count — ~``n`` clusters of
-    :data:`INDEX_KEYWORDS_PER_CLUSTER` stems each.
-    """
-    return max(1, graph_stats.max_interval_nodes
-               * INDEX_KEYWORDS_PER_CLUSTER)
-
-
-def forecast_serving_hit_rate(cache_entries: int, working_set: int,
-                              skew: float = SERVING_DEFAULT_SKEW
-                              ) -> float:
-    """Forecast the hot-answer LRU hit rate under Zipf-skewed queries.
-
-    Keyword popularity in query logs is Zipf-distributed (rank ``r``
-    drawing ``1/r^skew`` of the traffic); an LRU of ``C`` entries ends
-    up holding roughly the ``C`` most popular keys, so the hit rate is
-    the share of probability mass they cover: the ratio of generalized
-    harmonic numbers ``H(C, skew) / H(N, skew)`` over a working set of
-    ``N`` keywords.  Clamped to [0, 1]; a cache at least as large as
-    the working set always hits.
-    """
-    if working_set <= 0 or cache_entries >= working_set:
-        return 1.0
-    if cache_entries <= 0:
-        return 0.0
-
-    def harmonic(n: int) -> float:
-        return sum(1.0 / (rank ** skew) for rank in range(1, n + 1))
-
-    return min(1.0, harmonic(cache_entries) / harmonic(working_set))
-
-
 def split_serving_budget(memory_budget: Optional[int]
                          ) -> Tuple[int, int, int]:
     """Split a serving memory budget into cache sizes and admission.
@@ -564,27 +268,20 @@ def split_serving_budget(memory_budget: Optional[int]
 
 
 def apply_serving_dimension(result: ExecutionPlan,
-                            graph_stats: GraphStats,
-                            memory_budget: Optional[int] = None,
-                            skew: float = SERVING_DEFAULT_SKEW
+                            memory_budget: Optional[int] = None
                             ) -> None:
-    """Record the serving-tier forecast on a plan (``explain --serve``).
+    """Record the serving-tier split on a plan (``explain --serve``).
 
     Splits *memory_budget* (falling back to the plan's own budget)
     across the hot-keyword and cluster caches plus the admission
-    pool, then forecasts the refine hit rate from the keyword *skew*
-    against the estimated working set.
+    pool — the sizes :class:`~repro.serving.ClusterServer` runs with.
     """
     budget = memory_budget if memory_budget is not None \
         else result.memory_budget
     hot, clusters, inflight = split_serving_budget(budget)
-    working_set = estimate_serving_working_set(graph_stats)
     result.serving_hot_entries = hot
     result.serving_cluster_entries = clusters
     result.serving_max_inflight = inflight
-    result.serving_hot_keywords = working_set
-    result.serving_hit_rate = forecast_serving_hit_rate(
-        hot, working_set, skew)
     if budget is None:
         result.reasons.append(
             "serving without a memory budget: constructor-default "
@@ -598,46 +295,6 @@ def apply_serving_dimension(result: ExecutionPlan,
             f"{100 * SERVING_CLUSTER_SHARE:.0f}/"
             f"{100 * (1 - SERVING_HOT_SHARE - SERVING_CLUSTER_SHARE):.0f}"
             f"%: hot answers / cluster records / request admission")
-    covered = "covers" if hot >= working_set else "partially covers"
-    result.reasons.append(
-        f"{hot}-entry hot cache {covered} the ~{working_set}-keyword "
-        f"working set: ~{100 * result.serving_hit_rate:.0f}% refine "
-        f"hit rate at Zipf skew {skew:g}")
-
-
-# Distributed scatter-gather cost model.  The hedge default is
-# restated from repro.distributed (the planner stays below that tier
-# in the layering, like INDEX_MERGE_MAX_SEGMENTS above).
-DISTRIBUTED_HEDGE_MS = 250.0
-
-
-def apply_distributed_dimension(result: ExecutionPlan,
-                                graph_stats: GraphStats,
-                                workers: int,
-                                hedge_ms: float = DISTRIBUTED_HEDGE_MS
-                                ) -> None:
-    """Record the scatter-gather forecast on a plan (``--shards N``).
-
-    Fills the distributed dimension: fan-out width, each worker's
-    share of the index working set (postings nodes are
-    hash-partitioned, so shares are near-even), the merge fan-in a
-    query pays (one partial answer per partition), and the hedging
-    budget after which a straggling partial is re-sent to its
-    replica worker.  Uses the plan's measured ``index_bytes`` when a
-    write already ran, the Section-4 estimate otherwise.
-    """
-    workers = max(1, int(workers))
-    total = result.index_bytes if result.index_bytes \
-        else estimate_index_bytes(graph_stats)
-    result.distributed_workers = workers
-    result.distributed_worker_bytes = max(1, total // workers)
-    result.distributed_merge_fanin = workers
-    result.distributed_hedge_ms = float(hedge_ms)
-    result.reasons.append(
-        f"scatter-gather over {workers} worker(s): each owns "
-        f"~1/{workers} of ~{_human_bytes(total)} index postings; a "
-        f"partial outstanding past {hedge_ms:.0f}ms is hedged to its "
-        f"replica")
 
 
 def estimate_ta_probes(graph_stats: GraphStats) -> float:
@@ -656,34 +313,26 @@ def estimate_ta_probes(graph_stats: GraphStats) -> float:
 
 
 def apply_worker_dimension(result: ExecutionPlan, query: StableQuery,
-                           graph_stats: GraphStats,
-                           streaming: bool = False) -> None:
+                           graph_stats: GraphStats) -> None:
     """Set the plan's parallel dimension from the query's ``workers``.
 
-    The unit of parallel work differs by mode: a batch run fans the
-    Section-3 generation out across the ``m`` intervals, a streaming
-    run partitions the window join's inverted index across at most
-    ``n`` clusters per ingest.  Requests beyond those unit counts
-    cannot help, so the planner clamps and says why.  ``workers=None``
-    stays serial (parallelism is opt-in — it changes wall-clock, never
-    answers, and small corpora lose to pool start-up).
+    A batch run fans the Section-3 generation out across the ``m``
+    intervals; requests beyond that cannot help, so the planner clamps
+    and says why.  ``workers=None`` stays serial (parallelism is
+    opt-in — it changes wall-clock, never answers, and small corpora
+    lose to pool start-up).
     """
     if query.workers is None:
         return
     requested = resolve_workers(query.workers)
-    if streaming:
-        units = max(1, graph_stats.max_interval_nodes)
-        unit_name = "window-join partitions (<= n clusters/interval)"
-    else:
-        units = max(1, graph_stats.num_intervals)
-        unit_name = "per-interval generation tasks (m)"
+    units = max(1, graph_stats.num_intervals)
+    unit_name = f"{units} per-interval generation tasks (m)"
     result.workers = max(1, min(requested, units))
     asked = "workers=auto (all cores)" if query.workers == 0 \
         else f"workers={requested}"
     if result.workers < requested:
         result.reasons.append(
-            f"{asked} clamped to {result.workers}: only "
-            f"{units} {unit_name}")
+            f"{asked} clamped to {result.workers}: only {unit_name}")
     elif result.workers > 1:
         result.reasons.append(
             f"{asked}: parallel stages fan out on "
@@ -717,7 +366,6 @@ def plan(query: StableQuery, graph_stats: GraphStats,
                            memory_budget=budget, query=query,
                            graph_stats=graph_stats)
     apply_worker_dimension(result, query, graph_stats)
-    apply_join_dimension(result, graph_stats)
 
     if query.problem == "normalized":
         result.solver = "normalized"
@@ -786,7 +434,7 @@ def plan_streaming(query: StableQuery, graph_stats: GraphStats,
     ``graph_stats`` describes the *expected* interval shape (for a
     live stream, measured from the first intervals seen).
     """
-    query.streaming_length()  # raises for full-path queries
+    query.streaming_length()  # raises for full paths and workers
     budget = (memory_budget if memory_budget is not None
               else query.memory_budget)
     window_bytes = estimate_window_bytes(query, graph_stats)
@@ -795,8 +443,6 @@ def plan_streaming(query: StableQuery, graph_stats: GraphStats,
                            estimated_window_bytes=window_bytes,
                            memory_budget=budget, query=query,
                            graph_stats=graph_stats)
-    apply_worker_dimension(result, query, graph_stats, streaming=True)
-    apply_join_dimension(result, graph_stats)
     result.reasons.append(
         f"streaming query: incremental {solver} engine, store "
         f"eviction bounds state to g + 1 = {graph_stats.gap + 1} "

@@ -33,11 +33,12 @@ class StableQuery:
     ``memory_budget`` (bytes; ``None`` = unbounded) is advisory input
     to the planner: it does not change answers, only which solver and
     backend produce them.  ``workers`` is the same kind of advisory
-    input for the parallel dimension: ``None`` means serial, ``0``
-    means "all cores", a positive count requests that many — the
-    planner clamps it to the workload's parallel units and the
+    input for the parallel dimension of a batch run: ``None`` means
+    serial, ``0`` means "all cores", a positive count requests that
+    many — the planner clamps it to the number of intervals and the
     :class:`~repro.engine.planner.ExecutionPlan` reports the outcome.
-    Like the budget, it never changes answers.  ``exact`` disables
+    Like the budget, it never changes answers; a streaming run
+    refuses it (:meth:`streaming_length`).  ``exact`` disables
     the normalized solver's Theorem-1 pruning (exponential;
     oracle/testing use only).
     """
@@ -124,6 +125,9 @@ class StableQuery:
 
         Raises when the query asks for full paths: ``l = m - 1``
         grows with the stream, so it cannot be maintained online.
+        Raises too when it requests ``workers``: the stream runs
+        serially, and a request it cannot honour is refused rather
+        than ignored.
         """
         length = self.min_length if self.problem == "normalized" \
             else self.l
@@ -131,6 +135,10 @@ class StableQuery:
             raise ValueError(
                 "streaming needs a concrete length bound; full-path "
                 "queries (l=None) grow with the stream")
+        if self.workers is not None:
+            raise ValueError(
+                f"streaming runs serially; workers={self.workers} "
+                f"applies to batch runs only")
         return length
 
     def with_k(self, k: int) -> "StableQuery":

@@ -1,8 +1,8 @@
 """Executor abstraction: one ``map_stages`` call, three backends.
 
 The Section-3 pipeline (per-interval cluster generation) and the
-window-affinity join are embarrassingly parallel across intervals and
-index partitions, but the right degree of parallelism depends on where
+shard-parallel index build are embarrassingly parallel across
+intervals and shards, but the right degree of parallelism depends on where
 the code runs: a test wants deterministic in-process execution, a
 notebook wants threads (no pickling), a batch job wants processes (the
 work is pure-Python CPU).  This module hides that choice behind one

@@ -40,6 +40,7 @@ The perf machinery under load:
 from __future__ import annotations
 
 import json
+import signal
 import threading
 import time
 from email.utils import formatdate
@@ -407,15 +408,25 @@ class ClusterServer:
         self._httpd = _ThreadingServer((self._host, self._port),
                                        _Handler)
         self._httpd.cluster_server = self
-        self._serve_thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-serving", daemon=True)
-        self._serve_thread.start()
-        if self.refresh_seconds > 0 and not self.service.complete:
-            self._refresh_thread = threading.Thread(
-                target=self._refresh_loop,
-                name="repro-serving-refresh", daemon=True)
-            self._refresh_thread.start()
+        # The server's threads (and the connection threads they
+        # start) inherit a mask that blocks SIGTERM/SIGINT, so the
+        # kernel hands those signals to the caller's thread, where
+        # Python runs its handlers; otherwise a signal taken by a
+        # server thread leaves the main thread asleep.
+        masked = {signal.SIGTERM, signal.SIGINT}
+        previous = signal.pthread_sigmask(signal.SIG_BLOCK, masked)
+        try:
+            self._serve_thread = threading.Thread(
+                target=self._httpd.serve_forever,
+                name="repro-serving", daemon=True)
+            self._serve_thread.start()
+            if self.refresh_seconds > 0 and not self.service.complete:
+                self._refresh_thread = threading.Thread(
+                    target=self._refresh_loop,
+                    name="repro-serving-refresh", daemon=True)
+                self._refresh_thread.start()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, previous)
         return self
 
     @property
@@ -451,18 +462,24 @@ class ClusterServer:
                 return  # service closed under us: shutting down
 
     def close(self) -> None:
-        """Stop serving and close what this server owns (idempotent)."""
+        """Stop serving and close what this server owns (idempotent).
+
+        One fixed order, each step waited for: the refresh thread
+        stops (it finishes any refresh in progress), ``shutdown()``
+        returns once the accept loop has exited, ``server_close()``
+        closes the listening socket, then the service closes.  Idle
+        keep-alive connections are daemon threads and hold nothing,
+        so none of the steps waits on a client."""
         if self._closed:
             return
         self._closed = True
         self._stop.set()
         if self._refresh_thread is not None:
-            self._refresh_thread.join(timeout=5)
+            self._refresh_thread.join()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5)
+            self._serve_thread.join()
         if self._owns_service:
             self.service.close()
 

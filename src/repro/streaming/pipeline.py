@@ -33,7 +33,6 @@ from repro.index.writer import (
     DEFAULT_FLUSH_INTERVALS,
     ClusterIndexWriter,
 )
-from repro.parallel import Executor, executor_for
 from repro.pipeline.cluster_generation import (
     ClusterGenerationReport,
     generate_interval_clusters_task,
@@ -87,13 +86,6 @@ class StreamingDocumentPipeline:
     bounded however long the stream runs.  Per-interval costs are
     recorded as :class:`IntervalIngestReport` objects on ``reports``.
 
-    ``workers`` parallelizes the per-interval window join (partitioned
-    by index token, merged exactly): an int opens a process pool of
-    that size (``0`` = all cores) owned by this pipeline — call
-    :meth:`close` (or use the pipeline as a context manager) when
-    done; an :class:`~repro.parallel.Executor` instance is used as-is
-    and left open.  Maintained top-k is worker-invariant.
-
     ``index_dir`` maintains a *live* persistent index
     (:mod:`repro.index`) alongside the stream: every ingested
     interval's clusters and the evolving top-k are appended as they
@@ -117,7 +109,6 @@ class StreamingDocumentPipeline:
                  theta: float = THETA_DEFAULT,
                  min_edges: int = 2,
                  store: Optional[StateStore] = None,
-                 workers: Union[int, Executor, None] = None,
                  index_dir: Optional[str] = None,
                  index_append: bool = True,
                  flush_intervals: Optional[int]
@@ -132,13 +123,9 @@ class StreamingDocumentPipeline:
         # intervals arrive; every ingested cluster is rebound into it,
         # so the whole window computes on one id namespace.
         self.vocab = Vocabulary()
-        self._owns_executor = not isinstance(workers, Executor)
-        self.executor = executor_for(workers)
         self.linker = StreamingAffinityPipeline(
             l=l, k=k, gap=gap, affinity=measure, theta=theta,
-            mode=problem, store=store,
-            executor=self.executor if self.executor.workers > 1
-            else None)
+            mode=problem, store=store)
         self.reports: List[IntervalIngestReport] = []
         self.generation_reports: List[ClusterGenerationReport] = []
         self.index_dir = index_dir
@@ -159,9 +146,7 @@ class StreamingDocumentPipeline:
         return self._index_writer
 
     def close(self, finalize_index: bool = True) -> None:
-        """Release the owned worker pool (no-op when serial or when
-        an external executor was supplied) and close the live index,
-        if one is being maintained.
+        """Close the live index, if one is being maintained.
 
         ``finalize_index=False`` closes the index *without* marking
         it complete — the right call when the stream died mid-run, so
@@ -169,8 +154,6 @@ class StreamingDocumentPipeline:
         a truncated run for a finished one (the context-manager form
         picks automatically from the exception state).
         """
-        if self._owns_executor:
-            self.executor.close()
         if self._index_writer is not None:
             if finalize_index:
                 self._index_writer.finalize()
@@ -187,9 +170,8 @@ class StreamingDocumentPipeline:
     def from_query(cls, query, **kwargs) -> "StreamingDocumentPipeline":
         """Build a document pipeline for a
         :class:`~repro.engine.StableQuery` (keyword arguments pass
-        through to the constructor).  The query's ``workers`` request
-        is honoured unless *kwargs* overrides it."""
-        kwargs.setdefault("workers", query.workers)
+        through to the constructor).  A query that requests
+        ``workers`` raises: the stream runs serially."""
         return cls(l=query.streaming_length(), k=query.k,
                    gap=query.gap, problem=query.problem, **kwargs)
 

@@ -2,9 +2,13 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -17,6 +21,20 @@ class TestParser:
         args = build_parser().parse_args(["demo"])
         assert args.problem == "kl"
         assert args.k == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["stream", "posts.jsonl", "--workers", "2"],
+        ["bench-graph", "--workers", "2"],
+        ["explain", "--corpus", "posts.jsonl"],
+        ["explain", "--index-dir", "idx"],
+        ["explain", "--shards", "2"],
+        ["explain", "--serve", "--skew", "1.2"],
+    ], ids=" ".join)
+    def test_removed_options_are_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bench_graph_args(self):
         args = build_parser().parse_args(
@@ -180,6 +198,16 @@ class TestCommands:
         assert "estimated" in out
         assert "1.0MiB" in out
 
+    def test_explain_prints_only_executed_dimensions(self, capsys):
+        assert main(["explain", "-m", "12", "-n", "90", "-d", "3",
+                     "--serve", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "serving:  256 hot answers" in out
+        assert "workers:  2" in out
+        for absent in ("corpus:", "join:", "shards:", "segments:",
+                       "hit rate", "hit-rate"):
+            assert absent not in out
+
     def test_explain_flips_solver_with_budget(self, capsys):
         main(["explain", "-m", "9", "-n", "400", "-d", "5",
               "--length", "4"])
@@ -293,3 +321,48 @@ class TestCommands:
         out = capsys.readouterr().out
         assert exit_code == 0
         assert "stable path" in out
+
+
+class TestHashSeedIndependence:
+    """No output depends on set/dict iteration order under a salted
+    ``hash()``: two hash seeds give the same bytes."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    FIXTURE = os.path.join(ROOT, "examples", "data", "dblp_mini.xml")
+    SRC = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__)))
+
+    def _run(self, seed, argv):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=self.SRC)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv,
+             "--corpus", self.FIXTURE, "--format", "dblp"],
+            env=env, capture_output=True, check=True, timeout=120)
+        return done.stdout
+
+    @staticmethod
+    def _files(directory):
+        found = {}
+        for folder, _, names in os.walk(directory):
+            for name in names:
+                path = os.path.join(folder, name)
+                with open(path, "rb") as handle:
+                    found[os.path.relpath(path, directory)] = \
+                        handle.read()
+        return found
+
+    def test_stable_output_is_seed_independent(self):
+        argv = ["stable", "--explain"]
+        assert self._run(0, argv) == self._run(4242, argv)
+
+    def test_index_build_is_seed_independent(self, tmp_path):
+        outputs, trees = [], []
+        for seed in (0, 4242):
+            directory = str(tmp_path / f"index-{seed}")
+            out = self._run(seed, ["index", "build", "--dir",
+                                   directory, "--explain"])
+            outputs.append(out.replace(directory.encode(), b"DIR"))
+            trees.append(self._files(directory))
+        assert outputs[0] == outputs[1]
+        assert trees[0] and trees[0] == trees[1]

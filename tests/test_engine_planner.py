@@ -20,16 +20,13 @@ from repro.datagen import synthetic_cluster_graph
 from repro.engine import (
     GraphStats,
     StableQuery,
-    apply_distributed_dimension,
     apply_serving_dimension,
-    estimate_index_bytes,
     estimate_annotation_bytes,
-    estimate_serving_working_set,
     estimate_window_bytes,
     explain,
-    forecast_serving_hit_rate,
     get_solver,
     plan,
+    plan_streaming,
     solve,
     solve_report,
     solver_names,
@@ -337,41 +334,20 @@ class TestStreamingFromQuery:
         with pytest.raises(ValueError, match="full-path"):
             StreamingStableClusters.from_query(StableQuery(l=None))
 
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_request_cannot_stream(self, workers):
+        """Streaming runs serially: a workers request is refused,
+        never silently ignored."""
+        query = StableQuery(problem="kl", l=3, k=4, workers=workers)
+        with pytest.raises(ValueError, match="serially"):
+            StreamingStableClusters.from_query(query)
+        with pytest.raises(ValueError, match="serially"):
+            plan_streaming(query, TestPlanner.GS)
+
 
 class TestServingDimension:
     GS = GraphStats(num_intervals=10, max_interval_nodes=1000,
                     avg_out_degree=5.0, gap=1)
-
-    def test_working_set_scales_with_interval_width(self):
-        from repro.engine.planner import INDEX_KEYWORDS_PER_CLUSTER
-        assert estimate_serving_working_set(self.GS) \
-            == 1000 * INDEX_KEYWORDS_PER_CLUSTER
-        empty = GraphStats(num_intervals=0, max_interval_nodes=0,
-                           avg_out_degree=0.0, gap=0)
-        assert estimate_serving_working_set(empty) == 1
-
-    def test_hit_rate_bounds(self):
-        assert forecast_serving_hit_rate(100, 100) == 1.0
-        assert forecast_serving_hit_rate(200, 100) == 1.0
-        assert forecast_serving_hit_rate(50, 0) == 1.0
-        assert forecast_serving_hit_rate(0, 100) == 0.0
-        partial = forecast_serving_hit_rate(50, 100)
-        assert 0.0 < partial < 1.0
-
-    def test_hit_rate_monotonic_in_cache_size(self):
-        rates = [forecast_serving_hit_rate(c, 10_000)
-                 for c in (8, 64, 512, 4096)]
-        assert rates == sorted(rates)
-        assert rates[0] > 0.0
-
-    def test_skew_concentrates_traffic(self):
-        """Steeper Zipf skew means a small cache covers more
-        traffic; skew 0 (uniform) degrades to C/N."""
-        flat = forecast_serving_hit_rate(100, 1000, skew=0.0)
-        zipf = forecast_serving_hit_rate(100, 1000, skew=1.0)
-        steep = forecast_serving_hit_rate(100, 1000, skew=1.5)
-        assert flat == pytest.approx(0.1)
-        assert steep > zipf > flat
 
     def test_split_without_budget_uses_defaults(self):
         from repro.engine.planner import (
@@ -412,46 +388,20 @@ class TestServingDimension:
 
     def test_apply_serving_dimension_annotates_the_plan(self):
         execution = plan(StableQuery(problem="kl", l=2, k=3), self.GS)
-        apply_serving_dimension(execution, self.GS,
+        apply_serving_dimension(execution,
                                 memory_budget=4 * 1024 * 1024)
         hot, clusters, inflight = split_serving_budget(4 * 1024 * 1024)
         assert execution.serving_hot_entries == hot
         assert execution.serving_cluster_entries == clusters
         assert execution.serving_max_inflight == inflight
-        working_set = estimate_serving_working_set(self.GS)
-        assert execution.serving_hot_keywords == working_set
-        assert execution.serving_hit_rate == pytest.approx(
-            forecast_serving_hit_rate(hot, working_set))
         text = execution.explain()
         assert "serving:" in text
         assert "40/40/20" in text
-        assert "hit rate" in text
 
     def test_apply_without_budget_reports_defaults(self):
         execution = plan(StableQuery(problem="kl", l=2, k=3), self.GS)
         execution.memory_budget = None
-        apply_serving_dimension(execution, self.GS)
+        apply_serving_dimension(execution)
         assert any("constructor-default" in reason
                    for reason in execution.reasons)
         assert "serving:" in execution.explain()
-
-    def test_apply_distributed_dimension_annotates_the_plan(self):
-        execution = plan(StableQuery(problem="kl", l=2, k=3), self.GS)
-        apply_distributed_dimension(execution, self.GS, 4)
-        assert execution.distributed_workers == 4
-        total = execution.index_bytes or estimate_index_bytes(self.GS)
-        assert execution.distributed_worker_bytes == \
-            max(1, total // 4)
-        assert execution.distributed_merge_fanin == 4
-        assert execution.distributed_hedge_ms == 250.0
-        text = execution.explain()
-        assert "shards:" in text
-        assert "scatter-gather" in text
-        assert "hedged" in text
-        assert any("scatter-gather over 4 worker(s)" in reason
-                   for reason in execution.reasons)
-
-    def test_undistributed_plan_has_no_shards_block(self):
-        execution = plan(StableQuery(problem="kl", l=2, k=3), self.GS)
-        assert execution.distributed_workers is None
-        assert "shards:" not in execution.explain()

@@ -562,13 +562,18 @@ class TestServiceStats:
         assert "seg-0000: intervals [0, 2)" in out
         assert "sealed" in out
 
-    def test_explain_reports_segment_tier(self, capsys):
-        assert main(["explain", "-m", "40", "-n", "50", "-d", "3",
-                     "--length", "3", "--index-dir", "/tmp/idx",
-                     "--flush-intervals", "4"]) == 0
-        out = capsys.readouterr().out
-        assert "segments: 10" in out
-        assert "merge rewrite expected" in out
+    def test_plan_reports_measured_segment_tier(self, tmp_path):
+        """The plan's segments line is the count the write left
+        behind, not a forecast."""
+        index_dir = str(tmp_path / "index")
+        find_stable_clusters(_corpus(), l=2, k=3, gap=1,
+                             index_dir=index_dir)
+        second = find_stable_clusters(_corpus(), l=2, k=3, gap=1,
+                                      index_dir=index_dir,
+                                      index_append=True)
+        text = second.plan.explain()
+        assert "segments: 2 in the index's tier" in text
+        assert f"persisted at {index_dir}" in text
 
 
 def _overlapping_clusters(seed, intervals=6, hubs=4):

@@ -1,31 +1,26 @@
 """Parallel execution layer: executor contract, pickling, and
-parallel-vs-serial equivalence across the batch and streaming paths.
+parallel-vs-serial equivalence of the batch pipeline.
 
 The layer's guarantee is that parallelism changes wall-clock only:
-same clusters, same edges, same top-k paths whatever the executor.
-These tests pin that guarantee for both problems, gaps 0-2, and all
-three executors, and keep every task function shipped to
-:class:`~repro.parallel.ProcessExecutor` picklable.
+same clusters, same top-k paths whatever the executor.  These tests
+pin that guarantee for both problems, gaps 0-2, and all three
+executors, keep every task function shipped to
+:class:`~repro.parallel.ProcessExecutor` picklable, and pin that the
+streaming pipeline, which runs serially, refuses a workers request.
 """
 
 import pickle
-import random
 from functools import partial
 
 import pytest
 
-from repro.affinity import window_affinity_edges
-from repro.affinity.windowjoin import (
-    join_partition_task,
-    partition_join_payloads,
-)
 from repro.datagen import (
     BlogosphereGenerator,
     Event,
     EventSchedule,
     ZipfVocabulary,
 )
-from repro.engine import GraphStats, StableQuery, plan, plan_streaming
+from repro.engine import GraphStats, StableQuery, plan
 from repro.graph.clusters import KeywordCluster
 from repro.parallel import (
     Executor,
@@ -194,16 +189,6 @@ class TestTaskPickling:
         clusters, report = revived((1, []))
         assert clusters == [] and report.interval == 1
 
-    def test_join_partition_task_pickles(self):
-        sets = [frozenset({"a", "b", "c"}), frozenset({"a", "b", "d"})]
-        payloads = partition_join_payloads(sets, sets, 0.1, 2)
-        fn = _roundtrip(join_partition_task)
-        merged = {}
-        for payload in payloads:
-            for a, b, w in fn(_roundtrip(payload)):
-                merged[(a, b)] = w
-        assert merged[(0, 1)] == pytest.approx(0.5)
-
     def test_apply_chunk_pickles(self):
         fn = _roundtrip(_apply_chunk)
         assert fn(square, [2, 3]) == [4, 9]
@@ -334,72 +319,7 @@ class TestBatchEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Partitioned window join: partitioned == single-index, any partition
-# count
-# ----------------------------------------------------------------------
-
-def _random_window(rng, num_intervals, clusters_per_interval):
-    vocabulary = [f"kw{i}" for i in range(220)]
-    window = []
-    for t in range(num_intervals):
-        clusters = [KeywordCluster(frozenset(rng.sample(vocabulary, 8)))
-                    for _ in range(clusters_per_interval)]
-        window.append(([(t, i) for i in range(len(clusters))],
-                       clusters))
-    new = [KeywordCluster(frozenset(rng.sample(vocabulary, 8)))
-           for _ in range(clusters_per_interval)]
-    return window, new
-
-
-@pytest.fixture
-def engaged_join(monkeypatch):
-    """Engage the prefix-filter join at any window size, so small
-    inputs exercise it."""
-    monkeypatch.setattr("repro.affinity.windowjoin.SIMJOIN_CUTOFF", 0)
-
-
-@pytest.mark.usefixtures("engaged_join")
-class TestPartitionedWindowJoin:
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("partitions", [1, 2, 3, 7])
-    def test_partitioned_equals_single_index(self, seed, partitions):
-        rng = random.Random(seed)
-        window, new = _random_window(rng, 3, 30)
-        serial = window_affinity_edges(window, new)
-        with ThreadExecutor(workers=2) as executor:
-            partitioned = window_affinity_edges(
-                window, new, executor=executor,
-                num_partitions=partitions)
-        assert partitioned == serial
-
-    def test_process_pool_join_equals_serial(self):
-        rng = random.Random(9)
-        window, new = _random_window(rng, 2, 40)
-        serial = window_affinity_edges(window, new)
-        with ProcessExecutor(workers=2) as executor:
-            partitioned = window_affinity_edges(
-                window, new, executor=executor)
-        assert partitioned == serial
-
-    def test_payload_partitions_cover_all_matches(self):
-        rng = random.Random(4)
-        window, new = _random_window(rng, 1, 25)
-        left = [c.keywords for _, cs in window for c in cs]
-        right = [c.keywords for c in new]
-        payloads = partition_join_payloads(left, right, 0.1, 5)
-        merged = {}
-        for payload in payloads:
-            for a, b, w in join_partition_task(payload):
-                merged[(a, b)] = w
-        from repro.affinity import threshold_jaccard_join
-        expected = {(a, b): w
-                    for a, b, w in threshold_jaccard_join(left, right,
-                                                          0.1)}
-        assert merged == expected
-
-
-# ----------------------------------------------------------------------
-# Streaming pipeline: parallel == serial over documents
+# Streaming pipeline: serial only
 # ----------------------------------------------------------------------
 
 def _interval_texts(num_intervals):
@@ -414,34 +334,11 @@ def _interval_texts(num_intervals):
     return texts
 
 
-class TestStreamingEquivalence:
-    @pytest.mark.usefixtures("engaged_join")
-    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-    @pytest.mark.parametrize("gap", [0, 1, 2])
-    @pytest.mark.parametrize("problem", ["kl", "normalized"])
-    def test_same_topk(self, problem, gap, kind):
-        texts = _interval_texts(4)
-
-        def replay(workers):
-            with StreamingDocumentPipeline(
-                    l=2, k=4, gap=gap, problem=problem,
-                    workers=workers) as pipeline:
-                for interval in texts:
-                    pipeline.add_texts(interval)
-                return [(p.nodes, pytest.approx(p.weight))
-                        for p in pipeline.top_k()]
-
-        baseline = replay(None)
-        with make_test_executor(kind) as executor:
-            assert replay(executor) == baseline
-
-    def test_from_query_honours_workers_request(self):
+class TestStreamingSerial:
+    def test_from_query_refuses_workers_request(self):
         query = StableQuery(problem="kl", l=2, k=3, gap=1, workers=2)
-        with StreamingDocumentPipeline.from_query(query) as pipeline:
-            assert pipeline.executor.workers == 2
-        with StreamingDocumentPipeline.from_query(
-                query, workers=None) as pipeline:  # explicit override
-            assert pipeline.executor.workers == 1
+        with pytest.raises(ValueError, match="serially"):
+            StreamingDocumentPipeline.from_query(query)
 
     def test_generation_summary_accumulates(self):
         texts = _interval_texts(3)
@@ -478,12 +375,6 @@ class TestPlannerWorkers:
         query = StableQuery(problem="kl", l=3, k=5, gap=1, workers=16)
         execution = plan(query, self.STATS)
         assert execution.workers == 5  # m = 5 generation tasks
-        assert any("clamped" in reason for reason in execution.reasons)
-
-    def test_streaming_clamped_to_interval_nodes(self):
-        query = StableQuery(problem="kl", l=3, k=5, gap=1, workers=64)
-        execution = plan_streaming(query, self.STATS)
-        assert execution.workers == 40  # n join partitions
         assert any("clamped" in reason for reason in execution.reasons)
 
     def test_workers_auto_resolves_to_cores(self):

@@ -759,3 +759,61 @@ class TestServerLifecycle:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+    def test_close_with_idle_keepalive_stops_every_thread(self,
+                                                          tmp_path):
+        """close() over a live, refreshing index while a keep-alive
+        connection sits idle: it returns promptly, and the refresh
+        and serve threads are gone when it does."""
+        index_dir = str(tmp_path / "live")
+        with StreamingDocumentPipeline(
+                l=1, k=2, index_dir=index_dir) as pipeline:
+            pipeline.add_documents(_corpus(m=1).documents(0))
+            server = ClusterServer(index_dir,
+                                   refresh_seconds=0.01).start()
+            conn = http.client.HTTPConnection(server.host, server.port,
+                                              timeout=30)
+            try:
+                conn.request("GET", "/refine?keyword=beckham")
+                assert conn.getresponse().read()
+                time.sleep(0.05)  # a few refresh polls
+                started = time.monotonic()
+                server.close()
+                assert time.monotonic() - started < 3
+                assert not server._refresh_thread.is_alive()
+                assert not server._serve_thread.is_alive()
+            finally:
+                conn.close()
+
+    def test_cli_serve_exits_promptly_on_sigterm(self, tmp_path):
+        """SIGTERM to `serve --poll` over a live index, while a
+        keep-alive connection is open and idle: the process exits
+        cleanly in well under the old two 5 s join timeouts."""
+        index_dir = str(tmp_path / "live")
+        with StreamingDocumentPipeline(
+                l=1, k=2, index_dir=index_dir) as pipeline:
+            pipeline.add_documents(_corpus(m=1).documents(0))
+            process = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "serve",
+                 index_dir, "--port", "0", "--poll", "0.01"],
+                stdout=subprocess.PIPE, text=True)
+            conn = None
+            try:
+                banner = process.stdout.readline()
+                match = re.search(r"at http://([\d.]+):(\d+)", banner)
+                assert match, banner
+                conn = http.client.HTTPConnection(
+                    match.group(1), int(match.group(2)), timeout=30)
+                conn.request("GET", "/refine?keyword=beckham")
+                assert conn.getresponse().status == 200
+                time.sleep(0.05)  # a few refresh polls
+                started = time.monotonic()
+                process.terminate()
+                assert process.wait(timeout=10) == 0
+                assert time.monotonic() - started < 3
+            finally:
+                if conn is not None:
+                    conn.close()
+                if process.poll() is None:
+                    process.kill()
+                    process.wait()

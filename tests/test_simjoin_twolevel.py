@@ -5,8 +5,7 @@ The second filter level (length band + checksum bands over sorted
 in the join's output: every test here holds the two-level join to the
 brute-force / prefix-only result **exactly** — same pairs, bit-identical
 weights — across random id and string collections, adversarial shapes,
-thresholds up to 1.0, the incremental window-frequency tracker, and the
-partitioned window-join driver.
+thresholds up to 1.0, and the incremental window-frequency tracker.
 """
 
 import random
@@ -39,7 +38,6 @@ from repro.affinity.windowjoin import (
     window_affinity_edges,
 )
 from repro.graph.clusters import KeywordCluster
-from repro.parallel import SerialExecutor, ThreadExecutor
 from repro.vocab import Vocabulary
 
 THRESHOLDS = [0.1, 0.3, 0.5, 0.7, 1.0]
@@ -289,7 +287,7 @@ class _Cluster:
         self.keywords = frozenset(keywords)
 
 
-class TestPartitionedEquivalence:
+class TestTrackedWindowJoin:
     def _window(self, rng):
         window = []
         for m in range(3):
@@ -301,23 +299,6 @@ class TestPartitionedEquivalence:
         new = [_Cluster(rng.sample(range(40), rng.randint(1, 8)))
                for _ in range(12)]
         return window, new
-
-    @pytest.mark.parametrize(
-        "make_executor",
-        [SerialExecutor, lambda: ThreadExecutor(workers=2)],
-        ids=["serial", "threads"])
-    def test_partitioned_matches_serial(self, make_executor,
-                                        monkeypatch):
-        monkeypatch.setattr("repro.affinity.windowjoin.SIMJOIN_CUTOFF",
-                            0)
-        rng = random.Random(33)
-        window, new = self._window(rng)
-        serial = window_affinity_edges(window, new, theta=0.2)
-        with make_executor() as executor:
-            partitioned = window_affinity_edges(
-                window, new, theta=0.2, executor=executor)
-        assert partitioned == serial
-        assert serial  # the workload must actually produce edges
 
     def test_tracker_and_stats_thread_through(self, monkeypatch):
         monkeypatch.setattr("repro.affinity.windowjoin.SIMJOIN_CUTOFF",
