@@ -26,7 +26,9 @@ class TestParser:
         ["stream", "posts.jsonl", "--workers", "2"],
         ["bench-graph", "--workers", "2"],
         ["explain", "--corpus", "posts.jsonl"],
+        ["explain", "--format", "dblp"],
         ["explain", "--index-dir", "idx"],
+        ["explain", "--flush-intervals", "4"],
         ["explain", "--shards", "2"],
         ["explain", "--serve", "--skew", "1.2"],
     ], ids=" ".join)
@@ -366,3 +368,86 @@ class TestHashSeedIndependence:
             trees.append(self._files(directory))
         assert outputs[0] == outputs[1]
         assert trees[0] and trees[0] == trees[1]
+
+
+class TestCorpusCommands:
+    """`corpus stats` and `corpus ingest` over the three renditions of
+    the mini DBLP fixture."""
+
+    DATA = os.path.join(TestHashSeedIndependence.ROOT, "examples",
+                        "data")
+    BY_YEAR = ["--time-field", "year", "--bucket", "year"]
+    RENDITIONS = {
+        "dblp": ("dblp_mini.xml", []),
+        "jsonl": ("dblp_mini.jsonl", BY_YEAR),
+        "csv": ("dblp_mini.csv", BY_YEAR),
+    }
+    HISTOGRAM = [(0, 22), (1, 22), (2, 30), (3, 31), (4, 31), (5, 30)]
+
+    @staticmethod
+    def _histogram(out):
+        rows = []
+        for line in out.splitlines():
+            if line.startswith("  interval "):
+                interval, count = line.split(":")[0].split()[1], \
+                    line.split(":")[1].split()[0]
+                rows.append((int(interval), int(count)))
+        return rows
+
+    @pytest.mark.parametrize("fmt", sorted(RENDITIONS))
+    def test_stats_measures_every_rendition_alike(self, fmt, capsys):
+        name, extra = self.RENDITIONS[fmt]
+        path = os.path.join(self.DATA, name)
+        assert main(["corpus", "stats", path, "--format", fmt,
+                     *extra]) == 0
+        out = capsys.readouterr().out
+        assert (f"corpus: 166 docs over 6 intervals, max 31/interval "
+                f"from {path} ({fmt})") in out
+        assert self._histogram(out) == self.HISTOGRAM
+        # The fullest interval draws the full 40-column bar.
+        assert "31 docs  " + "#" * 40 in out
+
+    def test_ingest_round_trips_through_stats(self, tmp_path, capsys):
+        xml = os.path.join(self.DATA, "dblp_mini.xml")
+        output = str(tmp_path / "canonical.jsonl")
+        assert main(["corpus", "ingest", xml, "--format", "dblp",
+                     "--output", output]) == 0
+        assert (f"wrote 166 documents over 6 intervals to {output}"
+                in capsys.readouterr().out)
+        assert main(["corpus", "stats", output]) == 0
+        assert self._histogram(capsys.readouterr().out) == \
+            self.HISTOGRAM
+
+    def test_ingest_to_stdout_keeps_the_report_off_the_pipe(self,
+                                                           capsys):
+        xml = os.path.join(self.DATA, "dblp_mini.xml")
+        assert main(["corpus", "ingest", xml, "--format", "dblp"]) == 0
+        captured = capsys.readouterr()
+        records = [json.loads(line)
+                   for line in captured.out.splitlines()]
+        assert len(records) == 166
+        assert {r["interval"] for r in records} == set(range(6))
+        assert "166 parsed" in captured.err
+        assert "parsed" not in captured.out
+
+    def test_corpus_stats_measure_and_describe(self):
+        from repro.cli import CorpusStats
+        from repro.text import IntervalCorpus
+        corpus = IntervalCorpus()
+        for doc_id, interval in (("a", 0), ("b", 1), ("c", 1)):
+            corpus.add_text(doc_id, interval, "spatial join")
+        stats = CorpusStats.measure(corpus, source="posts.jsonl",
+                                    format="jsonl")
+        assert (stats.num_intervals, stats.num_documents,
+                stats.max_interval_documents) == (2, 3, 2)
+        assert stats.describe() == ("3 docs over 2 intervals, max "
+                                    "2/interval from posts.jsonl "
+                                    "(jsonl)")
+
+    def test_corpus_stats_of_an_empty_corpus(self):
+        from repro.cli import CorpusStats
+        from repro.text import IntervalCorpus
+        stats = CorpusStats.measure(IntervalCorpus())
+        assert stats.max_interval_documents == 0
+        assert stats.describe() == "0 docs over 0 intervals, max " \
+                                   "0/interval"

@@ -6,7 +6,8 @@ same clusters, same top-k paths whatever the executor.  These tests
 pin that guarantee for both problems, gaps 0-2, and all three
 executors, keep every task function shipped to
 :class:`~repro.parallel.ProcessExecutor` picklable, and pin that the
-streaming pipeline, which runs serially, refuses a workers request.
+streaming pipeline, which runs serially, refuses a workers request
+and gives the same top-k whichever window-join path runs.
 """
 
 import pickle
@@ -335,6 +336,31 @@ def _interval_texts(num_intervals):
 
 
 class TestStreamingSerial:
+    @pytest.mark.parametrize("cutoff", [0, 1], ids=["join", "mixed"])
+    @pytest.mark.parametrize("gap", [0, 1, 2])
+    @pytest.mark.parametrize("problem", ["kl", "normalized"])
+    def test_same_topk_whichever_join_runs(self, problem, gap, cutoff,
+                                           monkeypatch):
+        """A huge cutoff keeps the all-pairs loop everywhere; cutoff 0
+        engages the prefix-filter join on every interval, and cutoff
+        1 only where window x new exceeds one pair.  The top-k over
+        the same documents must not depend on which one ran."""
+        texts = _interval_texts(4)
+
+        def replay(cutoff):
+            monkeypatch.setattr(
+                "repro.affinity.windowjoin.SIMJOIN_CUTOFF", cutoff)
+            with StreamingDocumentPipeline(l=2, k=4, gap=gap,
+                                           problem=problem) as pipeline:
+                for interval in texts:
+                    pipeline.add_texts(interval)
+                return [(p.nodes, pytest.approx(p.weight))
+                        for p in pipeline.top_k()]
+
+        baseline = replay(10 ** 9)
+        assert baseline  # the stream must produce stable paths
+        assert replay(cutoff) == baseline
+
     def test_from_query_refuses_workers_request(self):
         query = StableQuery(problem="kl", l=2, k=3, gap=1, workers=2)
         with pytest.raises(ValueError, match="serially"):

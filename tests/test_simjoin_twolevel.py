@@ -315,6 +315,47 @@ class TestTrackedWindowJoin:
         assert stats.candidate_pairs >= stats.verified_pairs
         assert stats.verified_pairs >= len(tracked)
 
+    @staticmethod
+    def _keyword_window(rng, intervals, interned):
+        """A window of *intervals* intervals plus a new interval, as
+        string-keyword or vocabulary-interned clusters."""
+        words = [f"kw{i}" for i in range(120)]
+        vocab = Vocabulary()
+        vocab.intern_sorted(words)
+
+        def cluster():
+            picked = rng.sample(words, rng.randint(2, 8))
+            if interned:
+                return KeywordCluster(
+                    tokens=tuple(sorted(vocab.id_of(w)
+                                        for w in picked)),
+                    vocab=vocab)
+            return KeywordCluster(frozenset(picked))
+
+        window = [(tuple((m, j) for j in range(25)),
+                   [cluster() for _ in range(25)])
+                  for m in range(intervals)]
+        return window, [cluster() for _ in range(25)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("intervals", [1, 2, 3])
+    @pytest.mark.parametrize("interned", [False, True],
+                             ids=["strings", "interned"])
+    def test_engaged_join_matches_all_pairs(self, interned, intervals,
+                                            seed, monkeypatch):
+        """With the join engaged on any window, every edge and weight
+        equals the all-pairs loop's, for 1-3 window intervals."""
+        monkeypatch.setattr("repro.affinity.windowjoin.SIMJOIN_CUTOFF",
+                            0)
+        window, new = self._keyword_window(random.Random(seed),
+                                           intervals, interned)
+        stats = JoinStats()
+        edges = window_affinity_edges(window, new, theta=0.1,
+                                      join_stats=stats)
+        assert stats.candidate_pairs > 0  # the join really ran
+        assert edges == _all_pairs(window, new, jaccard, 0.1)
+        assert edges  # the inputs must share tokens
+
 
 def _all_pairs(window, new, measure, theta):
     return [(node, b, measure(old, cluster))
