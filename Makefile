@@ -38,6 +38,7 @@ bench-json:
 	$(RUN) benchmarks/bench_distributed.py --json BENCH_distributed.json
 	$(RUN) benchmarks/bench_corpus_ingest.py --json BENCH_corpus.json
 	$(RUN) benchmarks/bench_table3_bfs_dfs_ta.py --json BENCH_solvers.json
+	$(RUN) benchmarks/bench_fig6_cluster_generation.py --json BENCH_cooccur.json
 
 # The end-to-end benchmark BENCHMARK.json declares (see
 # benchmarks/e2e/README.md); run.py puts src/ on its own path.

@@ -11,9 +11,25 @@ scale the constant-in-ρ chi-square/ρ pass dominates instead, so this
 benchmark times the two parts separately: the full procedure (for the
 record) and the ρ-dependent tail (graph materialization + Art), whose
 falling shape is asserted.
+
+Runs under pytest alongside the paper benchmarks, and standalone for
+the Section-3 perf trajectory — ``--json PATH`` runs the whole
+procedure on the same interval (count with keyword interning, prune
+and Art, best of ``ROUNDS`` per stage, at the default ρ and support
+floor) and stores
+the stage seconds and sizes (pairs counted, after χ², after ρ,
+clusters) as one named row of the repo-root ``BENCH_cooccur.json``
+that ``make bench-json`` versions; rows already in the file under
+other names are kept (``--row before`` with ``PYTHONPATH`` at an
+earlier checkout's ``src``)::
+
+    PYTHONPATH=src python benchmarks/bench_fig6_cluster_generation.py \\
+        --json BENCH_cooccur.json
 """
 
 from __future__ import annotations
+
+from typing import Any, Dict, List, Optional
 
 import pytest
 
@@ -26,15 +42,18 @@ from repro.datagen import (
     ZipfVocabulary,
 )
 from repro.graph import extract_clusters
+from repro.pipeline.cluster_generation import (
+    generate_interval_clusters_task,
+)
 
 RHOS = [0.2, 0.3, 0.5, 0.7, 0.9]
+ROUNDS = 5
 
 _ART_TIMES = {}
 _SURVIVORS = {}
 
 
-@pytest.fixture(scope="module")
-def keyword_graph():
+def _corpus():
     schedule = (EventSchedule()
                 .add(Event.burst("somalia",
                                  ["somalia", "mogadishu", "ethiopian",
@@ -45,8 +64,12 @@ def keyword_graph():
     vocab = ZipfVocabulary(4000, seed=661)
     generator = BlogosphereGenerator(vocab, schedule,
                                      background_posts=900, seed=662)
-    corpus = generator.generate_corpus(1)
-    keyword_sets = [doc.keywords() for doc in corpus.documents(0)]
+    return generator.generate_corpus(1)
+
+
+@pytest.fixture(scope="module")
+def keyword_graph():
+    keyword_sets = [doc.keywords() for doc in _corpus().documents(0)]
     return KeywordGraph.from_keyword_sets(keyword_sets)
 
 
@@ -101,3 +124,59 @@ def test_fig6_shapes(shape):
         assert _ART_TIMES[RHOS[-1]] < _ART_TIMES[RHOS[0]]
 
     shape(check)
+
+
+def measure_interval() -> Dict[str, Any]:
+    """The Figure-6 interval outside pytest: the fastest of
+    ``ROUNDS`` runs of each stage, and the stage sizes (identical in
+    every round)."""
+    documents = _corpus().documents(0)
+    seconds = {"count_s": [], "prune_s": [], "art_s": []}
+    for _ in range(ROUNDS):
+        clusters, report = generate_interval_clusters_task(documents, 0)
+        seconds["count_s"].append(report.seconds_counting)
+        seconds["prune_s"].append(report.seconds_pruning)
+        seconds["art_s"].append(report.seconds_art)
+    row: Dict[str, Any] = {name: round(min(values), 5)
+                           for name, values in seconds.items()}
+    row.update(documents=report.num_documents,
+               keywords=report.num_keywords,
+               pairs_counted=report.num_edges,
+               after_chi2=report.edges_after_chi2,
+               after_rho=report.edges_after_rho,
+               clusters=len(clusters))
+    return row
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    """Standalone JSON mode for the perf trajectory (no pytest)."""
+    import argparse
+
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--json", metavar="PATH",
+                        help="store this run as a row of PATH (the "
+                             "BENCH_cooccur.json artifact)")
+    parser.add_argument("--row", default="after",
+                        help="name of the row this run is stored "
+                             "under (default: after)")
+    args = parser.parse_args(argv)
+    row = measure_interval()
+    print(" ".join(f"{name}={value}" for name, value in row.items()))
+    if args.json:
+        from _json import load_bench_rows, write_bench_json
+        rows = load_bench_rows(args.json)
+        rows[args.row] = row
+        write_bench_json(args.json, "cooccur", {
+            "workload": {"intervals": 1, "background_posts": 900,
+                         "events": 2, "vocabulary": 4000,
+                         "rho": 0.2, "rounds": ROUNDS},
+            "rows": rows,
+        })
+        print(f"wrote {args.json} (row {args.row!r})")
+    return 0
+
+
+if __name__ == "__main__":
+    import sys
+
+    sys.exit(main())

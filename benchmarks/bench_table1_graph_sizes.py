@@ -58,7 +58,9 @@ def test_table1_day(benchmark, corpus, series, tmp_path, day):
     interval = DAYS[day]
     keyword_sets = [doc.keywords() for doc in corpus.documents(interval)]
 
-    graph = benchmark(lambda: KeywordGraph.from_keyword_sets(keyword_sets))
+    # min_support=0: the paper's full G, every co-occurring pair.
+    graph = benchmark(lambda: KeywordGraph.from_keyword_sets(
+        keyword_sets, min_support=0))
 
     pair_path = str(tmp_path / f"pairs-{interval}.tsv")
     write_pair_file(keyword_sets, pair_path)

@@ -18,9 +18,12 @@ Steps 1-3 are the bounded-memory path (``external=True``).  When the
 interval's counts fit in memory — the default — they collapse into
 :func:`~repro.cooccur.aggregate.count_keywords_and_pairs`: the same
 pair multiset counted straight into the graph's two tables by the C
-loop behind ``Counter.update``.  Pruning is one pass whose closed-form
-χ² only *prefilters*; :mod:`repro.stats` remains the reference that
-decides any edge near the critical value (see
+loop behind ``Counter.update``.  Either way the build counts ``A(u)``
+first and ``A(u, v)`` only for pairs of keywords in at least
+``MIN_SUPPORT`` documents, the pairs pruning would skip untested;
+``min_support=0`` counts the full G.  Pruning is one pass whose
+closed-form χ² only *prefilters*; :mod:`repro.stats` remains the
+reference that decides any edge near the critical value (see
 :meth:`KeywordGraph.prune`).
 """
 
@@ -29,11 +32,12 @@ from repro.cooccur.aggregate import (
     count_pairs_external,
     count_pairs_in_memory,
 )
-from repro.cooccur.keyword_graph import KeywordGraph
+from repro.cooccur.keyword_graph import MIN_SUPPORT, KeywordGraph
 from repro.cooccur.pairs import emit_pairs, write_pair_file
 
 __all__ = [
     "KeywordGraph",
+    "MIN_SUPPORT",
     "aggregate_sorted_pairs",
     "count_pairs_external",
     "count_pairs_in_memory",

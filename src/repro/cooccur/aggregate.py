@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, groupby
-from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
+from itertools import chain, combinations, groupby
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Set, Tuple)
 
 from repro.cooccur.pairs import Pair, Token, emit_pairs
 from repro.extsort import external_sort
@@ -38,16 +39,33 @@ def aggregate_sorted_pairs(pairs: Iterable[Pair]) -> Iterator[Triplet]:
         yield (pair[0], pair[1], count)
 
 
+def frequent_keywords(keyword_counts: Mapping[Token, int],
+                      min_support: int) -> Set[Token]:
+    """The keywords with ``A(u) >= min_support``: those the support
+    floor lets into a counted pair."""
+    return {u for u, count in keyword_counts.items()
+            if count >= min_support}
+
+
 def count_pairs_external(keyword_sets: Iterable[FrozenSet[Token]],
                          max_records: int = 200_000,
                          directory: Optional[str] = None,
-                         stats: Optional[IOStats] = None
-                         ) -> Iterator[Triplet]:
+                         stats: Optional[IOStats] = None,
+                         min_support: int = 0) -> Iterator[Triplet]:
     """Emit, external-sort, and aggregate pairs with bounded memory.
 
     This is the full Section 3 counting pipeline in streaming form.
+    With a support floor above 1, a first pass counts ``A(u)`` and
+    only cross pairs of keywords with ``A(u) >= min_support`` are
+    emitted to the sort (every self pair still is), so the spilled
+    runs hold no pair the floor drops.
     """
-    sorted_pairs = external_sort(emit_pairs(keyword_sets),
+    frequent = None
+    if min_support > 1:
+        keyword_sets = list(keyword_sets)
+        frequent = frequent_keywords(
+            Counter(chain.from_iterable(keyword_sets)), min_support)
+    sorted_pairs = external_sort(emit_pairs(keyword_sets, frequent),
                                  max_records=max_records,
                                  directory=directory, stats=stats)
     return aggregate_sorted_pairs(sorted_pairs)
@@ -81,7 +99,8 @@ def _retain_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def count_keywords_and_pairs(keyword_sets: Iterable[FrozenSet[Token]]
+def count_keywords_and_pairs(keyword_sets: Iterable[FrozenSet[Token]],
+                             min_support: int = 0
                              ) -> Tuple[Counter, Counter]:
     """The in-memory counting kernel: ``(A(u), A(u, v))`` counters.
 
@@ -91,17 +110,29 @@ def count_keywords_and_pairs(keyword_sets: Iterable[FrozenSet[Token]]
     per-pair work is the C counting loop, not Python bookkeeping.
     Keys appear in first-occurrence order, which fixes the pruned
     graph's adjacency order and hence the order clusters come out in.
-    The pair table is the one large transient allocation of a run, so
-    the first call also keeps the C heap from being cut back between
-    calls (:func:`_retain_freed_heap`).
+
+    A *min_support* above 1 counts ``A(u)`` in a first pass and then
+    only the pairs whose two keywords both have ``A >= min_support``:
+    the pair table is the same one filtered, its keys in the same
+    relative order.  The pair table is the one large transient
+    allocation of a run, so the first call also keeps the C heap
+    from being cut back between calls (:func:`_retain_freed_heap`).
     """
     _retain_freed_heap()
     keywords: Counter = Counter()
     pairs: Counter = Counter()
-    for document in keyword_sets:
-        ordered = sorted(document)
-        keywords.update(ordered)
-        pairs.update(combinations(ordered, 2))
+    if min_support <= 1:
+        for document in keyword_sets:
+            ordered = sorted(document)
+            keywords.update(ordered)
+            pairs.update(combinations(ordered, 2))
+        return keywords, pairs
+    documents = list(keyword_sets)
+    for document in documents:
+        keywords.update(sorted(document))
+    keep = frequent_keywords(keywords, min_support).__contains__
+    for document in documents:
+        pairs.update(combinations(sorted(filter(keep, document)), 2))
     return keywords, pairs
 
 
@@ -110,8 +141,8 @@ def count_pairs_in_memory(keyword_sets: Iterable[FrozenSet[Token]]
     """Hash-aggregate the pair stream entirely in memory.
 
     Functionally identical to :func:`count_pairs_external` (self
-    pairs ``(u, u)`` carry the unary counts); used as the
-    differential oracle in tests.
+    pairs ``(u, u)`` carry the unary counts); used, with no support
+    floor, as the differential oracle in tests.
     """
     keywords, pairs = count_keywords_and_pairs(keyword_sets)
     counts: Dict[Pair, int] = {(u, u): c for u, c in keywords.items()}

@@ -4,7 +4,11 @@
 ``A(u, v)`` and the collection size ``n``, and applies the two pruning
 stages of Section 3 (chi-square at 95%, then ρ > 0.2) to produce the
 correlation-weighted graph ``G'`` on which biconnected components are
-computed.  Keywords are generic tokens: the production pipeline
+computed.  A pair whose rarer keyword occurs in fewer than
+``MIN_SUPPORT`` documents never reaches either test, so the build
+does not count it (see :meth:`KeywordGraph.from_keyword_sets`); a
+graph built with ``min_support=0`` holds the paper's full G.
+Keywords are generic tokens: the production pipeline
 builds the graph over interned integer ids (see :mod:`repro.vocab`);
 raw string sets work identically.
 
@@ -36,6 +40,10 @@ from repro.stats import (
 from repro.storage.iostats import IOStats
 
 RHO_DEFAULT = 0.2
+# Documents a keyword must occur in before any pair of it is tested
+# (see KeywordGraph.prune); the default floor of the build and the
+# prune alike.
+MIN_SUPPORT = 5
 
 # Relative half-width of the band around the critical value inside
 # which prune() lets repro.stats.chi_square decide (see prune()).
@@ -45,7 +53,12 @@ _EPS = sys.float_info.epsilon
 
 @dataclass
 class PruneReport:
-    """Edge survival counts for each pruning stage (Fig. 6 ablation)."""
+    """Edge survival counts for each pruning stage (Fig. 6 ablation).
+
+    ``total_edges`` is the number of pairs the graph counted: all of
+    G at a support floor of 0, only the pairs of keywords at or above
+    the floor otherwise.
+    """
 
     total_edges: int = 0
     after_chi2: int = 0
@@ -53,13 +66,20 @@ class PruneReport:
 
 
 class KeywordGraph:
-    """Keyword co-occurrence graph for one temporal interval."""
+    """Keyword co-occurrence graph for one temporal interval.
 
-    def __init__(self, num_documents: int) -> None:
+    ``min_support`` is the support floor the pair counts were taken
+    at: ``A(u, v)`` is held only for pairs whose two keywords both
+    occur in at least that many documents.  A floor of 0 or 1 holds
+    every co-occurring pair, and is stored as 0.
+    """
+
+    def __init__(self, num_documents: int, min_support: int = 0) -> None:
         if num_documents <= 0:
             raise ValueError(
                 f"num_documents must be positive, got {num_documents}")
         self.num_documents = num_documents
+        self.min_support = min_support if min_support > 1 else 0
         self._node_counts: Dict[Token, int] = {}
         self._edge_counts: Dict[Tuple[Token, Token], int] = {}
 
@@ -69,10 +89,12 @@ class KeywordGraph:
 
     @classmethod
     def from_triplets(cls, triplets: Iterable[Triplet],
-                      num_documents: int) -> "KeywordGraph":
+                      num_documents: int,
+                      min_support: int = 0) -> "KeywordGraph":
         """Build from a ``(u, v, A(u,v))`` stream; ``(u, u)`` triplets
-        carry the unary counts ``A(u)``."""
-        graph = cls(num_documents)
+        carry the unary counts ``A(u)``.  *min_support* declares the
+        floor the cross triplets were counted at."""
+        graph = cls(num_documents, min_support)
         for u, v, count in triplets:
             if count <= 0:
                 raise ValueError(
@@ -90,13 +112,21 @@ class KeywordGraph:
                           external: bool = False,
                           directory: Optional[str] = None,
                           max_records: int = 200_000,
-                          stats: Optional[IOStats] = None) -> "KeywordGraph":
+                          stats: Optional[IOStats] = None,
+                          min_support: int = MIN_SUPPORT
+                          ) -> "KeywordGraph":
         """Build from per-document keyword sets.
 
         With ``external=True`` the counting runs through the
         sort-based, bounded-memory pipeline of Section 3; otherwise
         the counts are hash-aggregated in memory, straight into the
         graph's two tables.  Both produce identical counts.
+
+        ``A(u)`` is counted for every keyword, ``A(u, v)`` only for
+        pairs whose two keywords both occur in at least *min_support*
+        documents: the pairs :meth:`prune` at that floor skips before
+        any statistic (Apriori: a pair is no more frequent than its
+        rarer keyword).  ``min_support=0`` counts the paper's full G.
         """
         materialized = list(keyword_sets)
         n = len(materialized)
@@ -107,11 +137,12 @@ class KeywordGraph:
             return cls.from_triplets(
                 count_pairs_external(materialized,
                                      max_records=max_records,
-                                     directory=directory, stats=stats),
-                num_documents=n)
-        graph = cls(n)
+                                     directory=directory, stats=stats,
+                                     min_support=min_support),
+                num_documents=n, min_support=min_support)
+        graph = cls(n, min_support)
         graph._node_counts, graph._edge_counts = \
-            count_keywords_and_pairs(materialized)
+            count_keywords_and_pairs(materialized, min_support)
         return graph
 
     # ------------------------------------------------------------------
@@ -125,7 +156,9 @@ class KeywordGraph:
 
     @property
     def num_edges(self) -> int:
-        """Distinct co-occurring pairs (edges of G)."""
+        """Distinct co-occurring pairs counted: the edges of G whose
+        keywords are both at or above the support floor (all of G at
+        a floor of 0)."""
         return len(self._edge_counts)
 
     def keywords(self) -> Iterator[Token]:
@@ -137,14 +170,28 @@ class KeywordGraph:
         return self._node_counts.get(u, 0)
 
     def pair_count(self, u: Token, v: Token) -> int:
-        """A(u, v): documents containing both keywords."""
+        """A(u, v): documents containing both keywords.
+
+        Raises :class:`ValueError` for a pair the support floor left
+        uncounted (both keywords occur, one in fewer than
+        ``min_support`` documents): its count is not known, and 0
+        would be a wrong answer.
+        """
         if u == v:
             return self.count(u)
         key = (u, v) if u < v else (v, u)
-        return self._edge_counts.get(key, 0)
+        count = self._edge_counts.get(key)
+        if count is not None:
+            return count
+        if 0 < min(self.count(u), self.count(v)) < self.min_support:
+            raise ValueError(
+                f"pair ({u!r}, {v!r}) is below the support floor "
+                f"{self.min_support} this graph was counted at; build "
+                f"with min_support=0 for every pair count")
+        return 0
 
     def edges(self) -> Iterator[Triplet]:
-        """Iterate over ``(u, v, A(u,v))`` for all co-occurring pairs."""
+        """Iterate over ``(u, v, A(u,v))`` for every counted pair."""
         for (u, v), count in self._edge_counts.items():
             yield (u, v, count)
 
@@ -165,7 +212,7 @@ class KeywordGraph:
 
     def prune(self, rho_threshold: float = RHO_DEFAULT,
               chi2_critical: float = CHI2_CRITICAL_95,
-              min_support: int = 5,
+              min_support: int = MIN_SUPPORT,
               report: Optional[PruneReport] = None) -> Graph:
         """Return G': the ρ-weighted graph of strongly correlated pairs.
 
@@ -181,6 +228,9 @@ class KeywordGraph:
         reference [12]): without this filter, every pair of words that
         co-occur in a single document scores ρ = 1.0 and χ² = n, and
         each document's unique rare words form a spurious clique.
+        A *min_support* below the floor the graph was counted at
+        raises :class:`ValueError`: the pairs it would test were
+        never counted.
 
         The outcome is defined by :func:`repro.stats.chi_square` and
         :func:`repro.stats.correlation_coefficient`; the loop only
@@ -202,6 +252,11 @@ class KeywordGraph:
         the same float expression as the reference, so weights are
         bit-identical.
         """
+        if min_support < self.min_support:
+            raise ValueError(
+                f"min_support={min_support} is below the support floor "
+                f"{self.min_support} this graph was counted at; build "
+                f"with min_support<={min_support}")
         pruned = Graph()
         n = self.num_documents
         count = self._node_counts.get

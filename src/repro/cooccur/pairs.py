@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import os
 from itertools import combinations
-from typing import FrozenSet, Hashable, Iterable, Iterator, List, Tuple
+from typing import (
+    Container, FrozenSet, Hashable, Iterable, Iterator, List, Optional,
+    Tuple)
 
 Token = Hashable
 Pair = Tuple[Token, Token]
@@ -34,13 +36,21 @@ PAIR_KINDS = ("str", "id")
 _WRITE_CHUNK_LINES = 8192
 
 
-def emit_pairs(keyword_sets: Iterable[FrozenSet[Token]]
+def emit_pairs(keyword_sets: Iterable[FrozenSet[Token]],
+               frequent: Optional[Container[Token]] = None
                ) -> Iterator[Pair]:
-    """Yield all (self and cross) keyword pairs, document by document."""
+    """Yield all (self and cross) keyword pairs, document by document.
+
+    With *frequent* given, cross pairs are emitted only between
+    keywords in it; every self pair still is.
+    """
     for keywords in keyword_sets:
         ordered = sorted(keywords)
         for keyword in ordered:
             yield (keyword, keyword)
+        if frequent is not None:
+            ordered = [keyword for keyword in ordered
+                       if keyword in frequent]
         for u, v in combinations(ordered, 2):
             yield (u, v)
 

@@ -90,8 +90,7 @@ def build_sharded_index(directory: str,
                          for clusters in interval_clusters]
     if query is None and plan is not None:
         query = plan.query
-    provenance = plan.explain().splitlines() \
-        if plan is not None else []
+    provenance = ClusterIndexWriter.plan_provenance(plan)
     _prepare_directory(directory, overwrite)
     # The sequential planning pass: vocabulary rebinding must happen
     # in interval order (token ids are append-ordered) and postings

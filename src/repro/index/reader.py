@@ -503,10 +503,15 @@ class ClusterIndexReader:
                 lines.append(
                     f"    {info['file']}: {info['records']} records "
                     f"({share:.1f}%), {info['bytes']} bytes")
-        provenance = manifest.get("provenance") or []
+        provenance = manifest.get("provenance")
         if provenance:
             lines.append("  provenance:")
-            lines.extend(f"    {line}" for line in provenance)
+            if isinstance(provenance, dict):
+                lines.extend(
+                    f"    {key}: {'-' if value is None else value}"
+                    for key, value in provenance.items())
+            else:  # older indexes stored the plan's explain() lines
+                lines.extend(f"    {line}" for line in provenance)
         return "\n".join(lines)
 
     # ------------------------------------------------------------------

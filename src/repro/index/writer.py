@@ -69,7 +69,8 @@ class ClusterIndexWriter:
     token ids with the token table persisted alongside (``token_kind
     = 'id'``); when ``None``, clusters are stored by their keyword
     strings.  ``query`` and ``provenance`` (the execution plan's
-    explain lines) are recorded in the manifest for ``index inspect``.
+    decision fields, see :meth:`plan_provenance`) are recorded in the
+    manifest for ``index inspect``.
 
     Opening modes: the default refuses a directory that already holds
     an index (and any non-empty foreign directory); ``overwrite=True``
@@ -90,7 +91,7 @@ class ClusterIndexWriter:
     def __init__(self, directory: str, *,
                  vocab: Optional[Vocabulary] = None,
                  query: Optional[Any] = None,
-                 provenance: Optional[Sequence[str]] = None,
+                 provenance: Optional[Dict[str, Any]] = None,
                  num_shards: int = DEFAULT_SHARDS,
                  overwrite: bool = False,
                  append: bool = False,
@@ -111,7 +112,7 @@ class ClusterIndexWriter:
         self.num_shards = num_shards
         self._vocab = vocab
         self._query_info = self._query_dict(query)
-        self._provenance = list(provenance or ())
+        self._provenance = provenance
         self._flush_intervals = flush_intervals
         self._merge_policy = merge_policy
         self._background = background_merge
@@ -175,6 +176,33 @@ class ClusterIndexWriter:
             "gap": query.gap,
         }
 
+    @staticmethod
+    def plan_provenance(plan: Optional[Any]) -> Optional[Dict[str, Any]]:
+        """The manifest's record of the plan a run executed.
+
+        The decision fields of an
+        :class:`~repro.engine.planner.ExecutionPlan`, not its
+        ``explain()`` rendering, so rewording that text leaves index
+        bytes alone.  Both the serial writer and the shard-parallel
+        build store this dict.
+        """
+        if plan is None:
+            return None
+        graph = plan.graph_stats
+        return {
+            "solver": plan.solver,
+            "backend": plan.backend,
+            "workers": plan.workers,
+            "window_block_nodes": plan.window_block_nodes,
+            "num_shards": plan.num_shards,
+            "estimated_window_bytes": plan.estimated_window_bytes,
+            "memory_budget": plan.memory_budget,
+            "graph_nodes": graph.num_nodes if graph else None,
+            "graph_edges": graph.num_edges if graph else None,
+            "graph_intervals": graph.num_intervals if graph else None,
+            "vocab_size": plan.vocab_size,
+        }
+
     def _prepare_directory(self, overwrite: bool,
                            reopening: bool) -> None:
         directory = self.directory
@@ -230,7 +258,7 @@ class ClusterIndexWriter:
         if self._query_info is None:
             self._query_info = manifest.get("query")
         if not self._provenance:
-            self._provenance = list(manifest.get("provenance") or ())
+            self._provenance = manifest.get("provenance")
         self._vocab_written = sum(
             meta.get("vocab_size", 0) for meta in self._segments)
         if self._vocab is not None:
@@ -650,12 +678,12 @@ class ClusterIndexWriter:
         log bytes written.
 
         ``plan`` (an :class:`~repro.engine.planner.ExecutionPlan`)
-        contributes its ``explain()`` lines as the index's
-        provenance.  With ``append=True`` the run is appended to an
-        existing index as new segments continuing its timeline.
+        contributes its decision fields as the index's provenance
+        (:meth:`plan_provenance`).  With ``append=True`` the run is
+        appended to an existing index as new segments continuing its
+        timeline.
         """
-        provenance = plan.explain().splitlines() \
-            if plan is not None else None
+        provenance = cls.plan_provenance(plan)
         if query is None and plan is not None:
             query = plan.query
         if append:

@@ -38,7 +38,14 @@ from repro.vocab import Vocabulary
 
 @dataclass
 class ClusterGenerationReport:
-    """Stage sizes and timings of one cluster-generation run."""
+    """Stage sizes and timings of one cluster-generation run.
+
+    ``num_edges`` counts the keyword pairs the build counted, those
+    whose two keywords meet the support floor
+    (:data:`~repro.cooccur.keyword_graph.MIN_SUPPORT`), not every
+    co-occurring pair of G; ``edges_after_chi2`` and
+    ``edges_after_rho`` are the survivors of each pruning test.
+    """
 
     interval: int = 0
     num_documents: int = 0

@@ -58,6 +58,9 @@ from repro.text.stemmer import stem
 DEFAULT_TOP = 8
 DEFAULT_REFRESH_SECONDS = 0.5
 RETRY_AFTER_SECONDS = 1
+# How often the accept loop looks for a shutdown() request; close()
+# waits up to this long for it, and an idle server wakes this often.
+SHUTDOWN_POLL_SECONDS = 0.05
 
 ROUTES = ("/refine", "/lookup", "/paths", "/stats")
 
@@ -418,6 +421,7 @@ class ClusterServer:
         try:
             self._serve_thread = threading.Thread(
                 target=self._httpd.serve_forever,
+                args=(SHUTDOWN_POLL_SECONDS,),
                 name="repro-serving", daemon=True)
             self._serve_thread.start()
             if self.refresh_seconds > 0 and not self.service.complete:
@@ -466,7 +470,8 @@ class ClusterServer:
 
         One fixed order, each step waited for: the refresh thread
         stops (it finishes any refresh in progress), ``shutdown()``
-        returns once the accept loop has exited, ``server_close()``
+        returns once the accept loop has exited (within
+        ``SHUTDOWN_POLL_SECONDS``), ``server_close()``
         closes the listening socket, then the service closes.  Idle
         keep-alive connections are daemon threads and hold nothing,
         so none of the steps waits on a client."""

@@ -5,10 +5,11 @@ import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cooccur import (
+    MIN_SUPPORT,
     KeywordGraph,
     aggregate_sorted_pairs,
     count_pairs_external,
@@ -103,7 +104,7 @@ class TestAggregation:
 
 class TestKeywordGraph:
     def test_from_keyword_sets_counts(self):
-        graph = KeywordGraph.from_keyword_sets(DOCS)
+        graph = KeywordGraph.from_keyword_sets(DOCS, min_support=0)
         assert graph.num_documents == 4
         assert graph.count("saddam") == 3
         assert graph.count("beckham") == 1
@@ -113,9 +114,10 @@ class TestKeywordGraph:
         assert graph.pair_count("saddam", "beckham") == 0
 
     def test_external_build_matches_memory_build(self, tmp_path):
-        mem = KeywordGraph.from_keyword_sets(DOCS)
+        mem = KeywordGraph.from_keyword_sets(DOCS, min_support=0)
         ext = KeywordGraph.from_keyword_sets(
-            DOCS, external=True, directory=str(tmp_path), max_records=4)
+            DOCS, external=True, directory=str(tmp_path), max_records=4,
+            min_support=0)
         assert ext.num_documents == mem.num_documents
         assert sorted(ext.edges()) == sorted(mem.edges())
         assert {k: ext.count(k) for k in ext.keywords()} == \
@@ -130,14 +132,14 @@ class TestKeywordGraph:
             KeywordGraph.from_triplets([("a", "b", 0)], num_documents=5)
 
     def test_num_keywords_and_edges(self):
-        graph = KeywordGraph.from_keyword_sets(DOCS)
+        graph = KeywordGraph.from_keyword_sets(DOCS, min_support=0)
         assert graph.num_keywords == 5
         # Edges: saddam-hussein, saddam-trial, hussein-trial,
         # soccer-beckham.
         assert graph.num_edges == 4
 
     def test_statistics_accessible_per_edge(self):
-        graph = KeywordGraph.from_keyword_sets(DOCS)
+        graph = KeywordGraph.from_keyword_sets(DOCS, min_support=0)
         assert graph.chi_square("saddam", "hussein") > 0
         assert graph.correlation("saddam", "hussein") > 0
         assert graph.correlation("saddam", "beckham") < 0
@@ -172,7 +174,7 @@ class TestPrune:
         docs = [frozenset({"a", "b", "c"}) for _ in range(3)]
         docs += [frozenset({"a", "x"}), frozenset({"b", "y"}),
                  frozenset({"c"}), frozenset({"x", "y"})]
-        graph = KeywordGraph.from_keyword_sets(docs)
+        graph = KeywordGraph.from_keyword_sets(docs, min_support=0)
         report = PruneReport()
         graph.prune(report=report)
         assert report.total_edges >= report.after_chi2 >= report.after_rho
@@ -287,7 +289,8 @@ class TestPruneMatchesReference:
         """Counted graphs (always consistent; a keyword in every
         document is degenerate) under arbitrary thresholds."""
         _assert_prune_matches_reference(
-            KeywordGraph.from_keyword_sets(docs), **thresholds)
+            KeywordGraph.from_keyword_sets(docs, min_support=0),
+            **thresholds)
 
     @settings(max_examples=150, deadline=None)
     @given(_count_graphs(), st.fixed_dictionaries(_THRESHOLDS))
@@ -355,7 +358,7 @@ class TestPruneEdgeCases:
         and rejects A(u,v) > A(u) = 0."""
         everywhere = KeywordGraph.from_keyword_sets(
             [frozenset({"the", "a"}), frozenset({"the", "b"}),
-             frozenset({"the", "a", "b"})])
+             frozenset({"the", "a", "b"})], min_support=0)
         assert everywhere.count("the") == everywhere.num_documents
         report = PruneReport()
         pruned = everywhere.prune(min_support=0, report=report)
@@ -425,7 +428,7 @@ class TestCountMatchesReference:
         """Insertion order is first occurrence in the emitted stream;
         it fixes G' adjacency order and hence cluster order.  (The
         external build inserts in sort order — same counts.)"""
-        graph = KeywordGraph.from_keyword_sets(docs)
+        graph = KeywordGraph.from_keyword_sets(docs, min_support=0)
         legacy = _legacy_build(docs)
         assert graph.num_documents == legacy.num_documents
         assert list(graph.keywords()) == list(legacy.keywords())
@@ -434,7 +437,8 @@ class TestCountMatchesReference:
         assert list(graph.edges()) == list(legacy.edges())
         with tempfile.TemporaryDirectory() as tmp:
             external = KeywordGraph.from_keyword_sets(
-                docs, external=True, directory=tmp, max_records=7)
+                docs, external=True, directory=tmp, max_records=7,
+                min_support=0)
         assert sorted(external.keywords()) == sorted(graph.keywords())
         assert [external.count(k) for k in sorted(graph.keywords())] \
             == [graph.count(k) for k in sorted(graph.keywords())]
@@ -445,16 +449,114 @@ class TestCountMatchesReference:
     def test_empty_documents_count_towards_n_only(self):
         docs = [frozenset(), frozenset({"b", "a"}), frozenset(),
                 frozenset({"a"}), frozenset({"c", "b", "a"})]
-        graph = KeywordGraph.from_keyword_sets(docs)
+        graph = KeywordGraph.from_keyword_sets(docs, min_support=0)
         assert graph.num_documents == 5
         assert list(graph.keywords()) == ["a", "b", "c"]
         assert list(graph.edges()) == [
             ("a", "b", 2), ("a", "c", 1), ("b", "c", 1)]
         assert list(graph.edges()) == list(_legacy_build(docs).edges())
-        only_empty = KeywordGraph.from_keyword_sets([frozenset()] * 3)
+        only_empty = KeywordGraph.from_keyword_sets([frozenset()] * 3,
+                                                    min_support=0)
         assert (only_empty.num_documents, only_empty.num_keywords,
                 only_empty.num_edges) == (3, 0, 0)
         assert only_empty.prune().num_edges == 0
+
+
+_FLOOR_DOCS = st.one_of(
+    st.lists(st.frozensets(st.integers(0, 12), max_size=7),
+             min_size=1, max_size=40),
+    st.lists(st.frozensets(st.sampled_from("abcdefghijkl"), max_size=7),
+             min_size=1, max_size=40))
+
+
+class TestSupportFloor:
+    """The build counts only pairs of keywords at or above the floor;
+    pruning at any support >= the floor cannot tell."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_FLOOR_DOCS, st.sampled_from([0, 1, 2, 3, 5]),
+           st.integers(0, 6), st.fixed_dictionaries(dict(
+               rho_threshold=st.sampled_from([0.2, 0.0, -1.0]),
+               chi2_critical=st.sampled_from([CHI2_CRITICAL_95, 0.0]))))
+    @example([frozenset({"a", "b"})] * 5 + [frozenset({"a", "c"})] * 2,
+             5, 5, {}).via("a pair exactly at the floor")
+    def test_floored_prune_equals_full_prune(self, docs, floor, support,
+                                             thresholds):
+        support = max(support, floor)
+        full = KeywordGraph.from_keyword_sets(docs, min_support=0)
+        floored = KeywordGraph.from_keyword_sets(docs, min_support=floor)
+        assert list(floored.keywords()) == list(full.keywords())
+        assert list(floored.edges()) == [
+            (u, v, c) for u, v, c in full.edges()
+            if min(full.count(u), full.count(v)) >= floor]
+        full_report, floored_report = PruneReport(), PruneReport()
+        expected = full.prune(min_support=support, report=full_report,
+                              **thresholds)
+        pruned = floored.prune(min_support=support,
+                               report=floored_report, **thresholds)
+        assert _adjacency(pruned) == _adjacency(expected)
+        assert (floored_report.after_chi2, floored_report.after_rho) \
+            == (full_report.after_chi2, full_report.after_rho)
+        assert floored_report.total_edges == floored.num_edges
+
+    @settings(max_examples=60, deadline=None)
+    @given(_FLOOR_DOCS, st.sampled_from([0, 1, 2, 5]))
+    def test_external_equals_in_memory_at_every_floor(self, docs, floor):
+        memory = KeywordGraph.from_keyword_sets(docs, min_support=floor)
+        with tempfile.TemporaryDirectory() as tmp:
+            external = KeywordGraph.from_keyword_sets(
+                docs, external=True, directory=tmp, max_records=5,
+                min_support=floor)
+        assert external.min_support == memory.min_support
+        assert sorted(external.edges()) == sorted(memory.edges())
+        assert {k: external.count(k) for k in external.keywords()} == \
+            {k: memory.count(k) for k in memory.keywords()}
+
+    def test_default_floor_is_the_prune_default(self):
+        # a in 7 documents, b in exactly 5 (the floor), rare in 4.
+        docs = [frozenset({"a", "b", "rare"})] * 4 \
+            + [frozenset({"a", "b"}), frozenset({"a"}), frozenset({"a"})] \
+            + [frozenset({"z"})] * 3
+        graph = KeywordGraph.from_keyword_sets(docs)
+        assert graph.min_support == MIN_SUPPORT == 5
+        assert list(graph.edges()) == [("a", "b", 5)]
+        assert _adjacency(graph.prune()) == _adjacency(
+            KeywordGraph.from_keyword_sets(docs, min_support=0).prune())
+
+    def test_floor_of_one_keeps_every_pair(self):
+        graph = KeywordGraph.from_keyword_sets(DOCS, min_support=1)
+        assert graph.min_support == 0
+        full = KeywordGraph.from_keyword_sets(DOCS, min_support=0)
+        assert list(graph.edges()) == list(full.edges())
+        assert _adjacency(graph.prune(min_support=0)) == \
+            _adjacency(full.prune(min_support=0))
+
+    def test_prune_below_the_floor_raises(self):
+        graph = KeywordGraph.from_keyword_sets(DOCS * 2, min_support=3)
+        for support in (0, 1, 2):
+            with pytest.raises(ValueError, match="support floor 3"):
+                graph.prune(min_support=support)
+        graph.prune(min_support=3)
+        graph.prune(min_support=4)
+
+    def test_uncounted_pair_raises_and_never_reads_zero(self):
+        # saddam 6, hussein 4, trial 4, soccer/beckham 2 documents.
+        graph = KeywordGraph.from_keyword_sets(DOCS * 2, min_support=4)
+        assert graph.pair_count("saddam", "hussein") == 4
+        assert graph.pair_count("saddam", "saddam") == 6
+        assert graph.pair_count("hussein", "trial") == 2
+        for u, v in [("saddam", "beckham"), ("beckham", "soccer"),
+                     ("soccer", "trial")]:
+            for query in (graph.pair_count, graph.chi_square,
+                          graph.correlation):
+                with pytest.raises(ValueError, match="support floor"):
+                    query(u, v)
+        # A keyword that never occurs co-occurs with nothing.
+        assert graph.pair_count("saddam", "ghost") == 0
+        assert graph.pair_count("ghost", "beckham") == 0
+
+    def test_in_memory_oracle_stays_unfloored(self):
+        assert count_pairs_in_memory(DOCS)[("beckham", "soccer")] == 1
 
 
 class TestHeapRetention:

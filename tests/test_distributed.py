@@ -270,6 +270,25 @@ class TestMergeContract:
         assert merged == paths
 
 
+def _assert_same_files(expected_root, actual_root):
+    def tree(root):
+        names = []
+        for base, _, files in os.walk(root):
+            for name in files:
+                full = os.path.join(base, name)
+                names.append(os.path.relpath(full, root))
+        return sorted(names)
+
+    expected_files = tree(expected_root)
+    assert tree(actual_root) == expected_files
+    for name in expected_files:
+        with open(os.path.join(expected_root, name), "rb") as fh:
+            expected = fh.read()
+        with open(os.path.join(actual_root, name), "rb") as fh:
+            actual = fh.read()
+        assert actual == expected, f"{name} diverged"
+
+
 class TestShardedBuild:
     def test_sharded_build_is_byte_identical(self, tmp_path):
         result = _result("kl", 1)
@@ -281,22 +300,20 @@ class TestShardedBuild:
         build_sharded_index(
             sharded_dir, result.interval_clusters, result.paths,
             vocab=result.vocabulary, plan=result.plan, workers=2)
-        def tree(root):
-            names = []
-            for base, _, files in os.walk(root):
-                for name in files:
-                    full = os.path.join(base, name)
-                    names.append(os.path.relpath(full, root))
-            return sorted(names)
+        _assert_same_files(serial_dir, sharded_dir)
 
-        serial_files = tree(serial_dir)
-        assert tree(sharded_dir) == serial_files
-        for name in serial_files:
-            with open(os.path.join(serial_dir, name), "rb") as fh:
-                expected = fh.read()
-            with open(os.path.join(sharded_dir, name), "rb") as fh:
-                actual = fh.read()
-            assert actual == expected, f"{name} diverged"
+    def test_sharded_build_without_a_plan_is_byte_identical(
+            self, tmp_path):
+        result = _result("kl", 1)
+        serial_dir = str(tmp_path / "serial")
+        sharded_dir = str(tmp_path / "sharded")
+        ClusterIndexWriter.write_run(
+            serial_dir, result.interval_clusters, result.paths,
+            vocab=result.vocabulary)
+        build_sharded_index(
+            sharded_dir, result.interval_clusters, result.paths,
+            vocab=result.vocabulary, workers=2)
+        _assert_same_files(serial_dir, sharded_dir)
 
     def test_sharded_build_serves_queries(self, tmp_path):
         result = _result("kl", 1)

@@ -12,6 +12,7 @@ import os
 import pytest
 
 from repro.engine import StableQuery
+from repro.engine.planner import ExecutionPlan
 from repro.graph.clusters import KeywordCluster
 from repro.index import (
     ClusterIndexError,
@@ -356,8 +357,9 @@ class TestManifestContents:
         assert manifest["complete"] is True
         assert manifest["query"]["problem"] == "kl"
         assert manifest["query"]["gap"] == 1
-        assert any("solver:" in line
-                   for line in manifest["provenance"])
+        assert manifest["provenance"]["solver"] == result.plan.solver
+        assert manifest["provenance"]["vocab_size"] == len(
+            result.vocabulary)
         assert manifest["generation"] >= 1
         segment = manifest["segments"][0]
         assert segment["sealed"] is True
@@ -372,3 +374,44 @@ class TestManifestContents:
             writer.append_interval([])
         manifest = json.load(open(manifest_path(index_dir)))
         assert manifest["query"]["describe"] == query.describe()
+
+    def test_provenance_does_not_depend_on_explain_wording(
+            self, tmp_path, monkeypatch):
+        def index_files(index_dir):
+            files = {}
+            for base, _, names in os.walk(index_dir):
+                for name in names:
+                    path = os.path.join(base, name)
+                    with open(path, "rb") as fh:
+                        files[os.path.relpath(path, index_dir)] = \
+                            fh.read()
+            return files
+
+        as_worded = str(tmp_path / "as-worded")
+        find_stable_clusters(_corpus(), l=2, k=3, gap=1,
+                             index_dir=as_worded)
+        monkeypatch.setattr(ExecutionPlan, "explain",
+                            lambda self: "reworded\nexplain output")
+        reworded = str(tmp_path / "reworded")
+        find_stable_clusters(_corpus(), l=2, k=3, gap=1,
+                             index_dir=reworded)
+        expected = index_files(as_worded)
+        assert len(expected) > 1
+        assert index_files(reworded) == expected
+
+    def test_inspect_renders_fields_and_legacy_explain_lines(
+            self, tmp_path):
+        index_dir = str(tmp_path / "index")
+        result = find_stable_clusters(_corpus(), l=2, k=3, gap=1,
+                                      index_dir=index_dir)
+        with ClusterIndexReader(index_dir) as reader:
+            rendered = reader.describe()
+        assert f"    solver: {result.plan.solver}\n" in rendered
+        assert "    memory_budget: -\n" in rendered
+        manifest = json.load(open(manifest_path(index_dir)))
+        manifest["provenance"] = ["execution plan", "  solver:   bfs"]
+        json.dump(manifest, open(manifest_path(index_dir), "w"))
+        with ClusterIndexReader(index_dir) as reader:
+            rendered = reader.describe()
+        assert rendered.endswith("  provenance:\n    execution plan\n"
+                                 "      solver:   bfs")

@@ -760,6 +760,17 @@ class TestServerLifecycle:
             process.terminate()
             process.wait(timeout=10)
 
+    def test_close_of_an_idle_server_is_prompt(self, built_index):
+        """close() waits for the accept loop's next shutdown check,
+        not for a half-second poll."""
+        for _ in range(10):
+            server = ClusterServer(built_index).start()
+            time.sleep(0.01)
+            started = time.monotonic()
+            server.close()
+            assert time.monotonic() - started < 0.2
+            assert not server._serve_thread.is_alive()
+
     def test_close_with_idle_keepalive_stops_every_thread(self,
                                                           tmp_path):
         """close() over a live, refreshing index while a keep-alive
